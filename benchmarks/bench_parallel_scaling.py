@@ -5,11 +5,13 @@ run, then the partitioned run at 1/2/4/8 workers, and records two speedup
 readings per cell:
 
 * ``speedup`` — strong scaling, ``T_par(1) / T_par(k)`` on the
-  *critical-path* basis: per-chunk worker CPU time (``time.process_time``,
-  immune to host time-sharing) plus the decomposition prologue.  This is
-  the wall clock a machine with >= k free cores would see, and it is what
-  the cost model + chunking strategy actually control — a cost-blind
-  schedule collapses it on skewed graphs.
+  *critical-path* basis: the decomposition prologue plus the makespan of
+  the measured per-task worker CPU time (``time.process_time``, immune to
+  host time-sharing) replayed onto k workers in dispatch order
+  (``ParallelStats.critical_path_seconds``).  This is the wall clock a
+  machine with >= k free cores would see, and it is what the cost model
+  + chunking strategy actually control — a cost-blind schedule collapses
+  it on skewed graphs.
 * ``speedup_vs_serial`` — the same critical path divided into the
   *monolithic* single-process wall time, i.e. the end-to-end win over not
   partitioning at all.  This is the conservative number: it charges the
@@ -274,8 +276,9 @@ def run(quick: bool, repeats: int, chunk_strategy: str,
         "speedup_basis": (
             "speedup = strong scaling T_par(1)/T_par(k); speedup_vs_serial = "
             "monolithic serial wall / T_par(k); both on the critical-path "
-            "basis (decompose prologue + max per-chunk worker CPU time), the "
-            "wall clock of a host with >= k free cores. wall_seconds is this "
+            "basis (decompose prologue + makespan of the per-task worker CPU "
+            "time replayed onto k workers in dispatch order), the wall "
+            "clock of a host with >= k free cores. wall_seconds is this "
             "host's actual wall clock and is overhead-bound when host_cpus < "
             "workers."
         ),

@@ -19,18 +19,15 @@ the plain BK family (``bk``, ``bk-pivot``, ``bk-ref``, ``bk-degen``,
 two cannot drift.)
 
 Every branch-and-bound algorithm additionally accepts
-``backend="set" | "bitset" | "words"`` selecting the branch-state
-representation: Python sets, ``int`` bitmasks
-(:mod:`repro.graph.bitadj`), or NumPy ``uint64`` word arrays
-(:mod:`repro.graph.wordadj`) whose big-branch scans run as vectorised
-kernels.  All backends emit identical clique sets, and the two mask
-backends execute the same decision sequence branch for branch, so their
-counters agree exactly.  The mask backends also accept
+``backend="set" | "bitset"`` selecting the branch-state representation:
+Python sets (the readable oracle) or ``int`` bitmasks
+(:mod:`repro.graph.bitadj`, the production mask path).  Both backends
+emit identical clique sets.  The bitset backend also accepts
 ``bit_order="degeneracy" | "input"`` (or an explicit vertex permutation)
 selecting the vertex→bit packing: ``"degeneracy"`` — the default — packs
 the high-core vertices into the low mask words so deep-branch masks stay
 short, ``"input"`` is the identity mapping.  Early termination on the
-mask backends is bit-native end to end (:mod:`repro.core.bit_plex`):
+bitset backend is bit-native end to end (:mod:`repro.core.bit_plex`):
 plex branches are decomposed and their cliques assembled directly on the
 masks.
 

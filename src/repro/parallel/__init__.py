@@ -59,6 +59,7 @@ from repro.parallel.scheduler import (
     balance_ratio,
     chunk_summary,
     make_chunks,
+    makespan,
     plan_steal,
     resplit_threshold,
     steal_chunk_count,
@@ -96,6 +97,7 @@ __all__ = [
     "balance_ratio",
     "chunk_summary",
     "make_chunks",
+    "makespan",
     "plan_steal",
     "resplit_threshold",
     "steal_chunk_count",

@@ -65,6 +65,7 @@ from repro.parallel.scheduler import (
     balance_ratio,
     chunk_summary,
     make_chunks,
+    makespan,
     plan_steal,
     resplit_threshold,
     steal_chunk_count,
@@ -76,7 +77,6 @@ if TYPE_CHECKING:
     from multiprocessing.synchronize import Barrier as SyncBarrier
 
     from repro.graph.bitadj import BitGraph
-    from repro.graph.wordadj import WordGraph
 
 #: worker-side barrier timeout for the graph broadcast rendezvous.  A
 #: worker that dies between spin-up and the broadcast can never arrive,
@@ -116,7 +116,6 @@ class GraphState:
     order: list[int]
     position: list[int]
     bit_graphs: dict[str, BitGraph] = field(default_factory=dict)
-    word_graphs: dict[str, WordGraph] = field(default_factory=dict)
 
     def bit_graph(self, options: dict[str, OptionValue]) -> BitGraph:
         """Whole-graph :class:`BitGraph` for the request's ``bit_order``.
@@ -153,41 +152,6 @@ class GraphState:
             self.bit_graphs[bit_order] = bg
         return bg
 
-    def word_graph(self, options: dict[str, OptionValue]) -> WordGraph:
-        """Whole-graph :class:`WordGraph` for the request's ``bit_order``.
-
-        Layers the cached ``(n, width)`` word matrix over the (equally
-        cached) :class:`BitGraph`; same per-(process, packing) lifetime and
-        same uncached-permutation policy as :meth:`bit_graph`.
-        """
-        from repro.graph.bitadj import DEFAULT_BIT_ORDER
-        from repro.graph.wordadj import WordGraph
-
-        bit_order = options.get("bit_order")
-        if bit_order is None:
-            bit_order = DEFAULT_BIT_ORDER
-        if not isinstance(bit_order, str):
-            return WordGraph(self.bit_graph(options))
-        wg = self.word_graphs.get(bit_order)
-        if wg is None:
-            wg = WordGraph(self.bit_graph(options))
-            self.word_graphs[bit_order] = wg
-        return wg
-
-    def mask_graph(
-        self, options: dict[str, OptionValue]
-    ) -> BitGraph | WordGraph:
-        """The cached mask view matching the request's backend.
-
-        ``words`` requests get the :class:`WordGraph`, ``bitset`` requests
-        the :class:`BitGraph`; both are what
-        :func:`repro.parallel.decompose.solve_branch` expects in its
-        ``bit_graph`` slot for that backend.
-        """
-        if options.get("backend") == "words":
-            return self.word_graph(options)
-        return self.bit_graph(options)
-
 
 @dataclass(frozen=True)
 class RequestConfig:
@@ -213,10 +177,11 @@ class ParallelStats:
 
     Pass an instance via ``run_parallel(..., stats=...)``; it is filled in
     place.  ``chunk_cpu_seconds`` is worker-side ``process_time`` per chunk
-    (time-sharing-proof): its maximum plus the decomposition prologue is
-    the critical path (the wall clock of a host with enough free cores),
-    its sum is the total partitioned CPU from which :meth:`work_ratio`
-    derives the duplicated-work overhead versus the serial run.
+    (time-sharing-proof); its sum is the total partitioned CPU from which
+    :meth:`work_ratio` derives the duplicated-work overhead versus the
+    serial run.  ``task_cpu_seconds`` holds the same CPU per task in
+    dispatch order, split parts counted individually; replayed onto
+    ``n_jobs`` workers it gives :attr:`critical_path_seconds`.
     """
 
     n_jobs: int = 0
@@ -239,6 +204,7 @@ class ParallelStats:
     chunk_costs: list[float] = field(default_factory=list)
     chunk_sizes: list[int] = field(default_factory=list)
     chunk_cpu_seconds: dict[int, float] = field(default_factory=dict)
+    task_cpu_seconds: list[float] = field(default_factory=list)
     #: per-chunk execution records (worker id, wall start/end, CPU,
     #: branch counters) — see :mod:`repro.obs.timeline`.
     timeline: list[WorkerTimelineEvent] = field(default_factory=list)
@@ -250,9 +216,14 @@ class ParallelStats:
 
     @property
     def critical_path_seconds(self) -> float:
-        """Decomposition prologue plus the slowest chunk's CPU time."""
-        chunk_cpu = self.chunk_cpu_seconds.values()
-        return self.decompose_seconds + (max(chunk_cpu) if chunk_cpu else 0.0)
+        """Decomposition prologue plus the schedule's makespan.
+
+        The makespan replays each task's CPU, in dispatch order, onto
+        ``n_jobs`` workers with the pool's policy (see :func:`makespan`):
+        the wall clock of a host with ``n_jobs`` free cores.
+        """
+        return self.decompose_seconds + makespan(self.task_cpu_seconds,
+                                                 self.n_jobs)
 
     def work_ratio(self, serial_seconds: float) -> float:
         """Total partitioned CPU over the monolithic serial wall time.
@@ -318,9 +289,9 @@ def _solve_chunk(
     counters = Counters()
     g = graph_state.graph
     position, order = graph_state.position, graph_state.order
-    bit_graph = graph_state.mask_graph(config.options) \
+    bit_graph = graph_state.bit_graph(config.options) \
         if config.x_aware \
-        and config.options.get("backend") in ("bitset", "words") \
+        and config.options.get("backend") == "bitset" \
         and uses_in_place_phase(config.algorithm, config.options) else None
     for p in chunk.positions:
         cliques, sub_counters, _ = solve_subproblem(
@@ -572,8 +543,8 @@ def _solve_split(
     v = order[task.position]
     later, earlier = subproblem_sets(g, position, v)
     cands = sorted(later, key=lambda u: position[u])
-    bit_graph = graph_state.mask_graph(config.options) \
-        if config.options.get("backend") in ("bitset", "words") else None
+    bit_graph = graph_state.bit_graph(config.options) \
+        if config.options.get("backend") == "bitset" else None
     from repro.api import get_algorithm  # deferred: api imports us lazily
 
     phase_kwargs = get_algorithm(config.algorithm).subproblem_phase
@@ -689,6 +660,9 @@ class SubmitReport:
     steals_by_worker: dict[str, int] = field(default_factory=dict)
     resplit_subproblems: int = 0
     resplit_tasks: int = 0
+    #: worker CPU of every task in dispatch order, split parts counted
+    #: individually (see :attr:`ParallelStats.task_cpu_seconds`).
+    task_cpu_seconds: list[float] = field(default_factory=list)
 
 
 def record_steal_metrics(registry: MetricsRegistry,
@@ -831,10 +805,13 @@ class WorkerPool:
                             n_chunks=len(chunks), n_splits=len(splits),
                             steal=config.steal):
                 for split in splits:
-                    accept(merger.fold(_solve_split(graph_state, config,
-                                                    split)))
+                    result = _solve_split(graph_state, config, split)
+                    report.task_cpu_seconds.append(result.cpu_seconds)
+                    accept(merger.fold(result))
                 for chunk in chunks:
-                    accept(_solve_chunk(graph_state, config, chunk))
+                    result = _solve_chunk(graph_state, config, chunk)
+                    report.task_cpu_seconds.append(result.cpu_seconds)
+                    accept(result)
             return report
         pool = self._ensure_pool(n_tasks)
         ship_needed = key not in self._states
@@ -910,6 +887,7 @@ class WorkerPool:
             )
 
         dynamic_indices: set[int] = set()
+        cpu_by_index: dict[int, float] = {}
         window = min(self._workers, len(tasks))
         for i in range(window):
             _send(i, False)
@@ -928,9 +906,12 @@ class WorkerPool:
                 report.steals += 1
                 report.steals_by_worker[result.worker] = \
                     report.steals_by_worker.get(result.worker, 0) + 1
+            cpu_by_index[result.chunk_index] = result.cpu_seconds
             if merger.owns(result.chunk_index):
                 result = merger.fold(result)
             accept(result)
+        report.task_cpu_seconds = [cpu_by_index[obj.index]
+                                   for _, obj in tasks]
 
     def close(self) -> None:
         """Shut the workers down; idempotent, pool unusable afterwards."""
@@ -1135,5 +1116,6 @@ def run_parallel(
         stats.chunk_costs = [c.cost for c in chunks]
         stats.chunk_sizes = [len(c.positions) for c in chunks]
         stats.chunk_cpu_seconds = dict(aggregator.chunk_cpu_seconds)
+        stats.task_cpu_seconds = report.task_cpu_seconds
         stats.timeline = list(aggregator.timeline)
     return aggregator.counters

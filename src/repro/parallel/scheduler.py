@@ -32,6 +32,7 @@ subproblem exceeds a worker's fair share.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
@@ -219,6 +220,19 @@ def resplit_threshold(costs: Sequence[float]) -> float:
     median = positive[mid] if len(positive) % 2 \
         else (positive[mid - 1] + positive[mid]) / 2.0
     return RESPLIT_COST_MULTIPLE * median
+
+
+def makespan(task_seconds: Sequence[float], n_workers: int) -> float:
+    """Finish time of replaying ``task_seconds`` on ``n_workers`` workers.
+
+    Tasks run in the given (dispatch) order under the pool's policy: the
+    first ``n_workers`` start at once, and each later task goes to the
+    first worker that frees up.
+    """
+    free = [0.0] * max(1, min(n_workers, len(task_seconds)))
+    for seconds in task_seconds:
+        heapq.heapreplace(free, free[0] + seconds)
+    return max(free)
 
 
 def steal_chunk_count(n_subproblems: int, n_jobs: int,

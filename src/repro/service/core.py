@@ -340,6 +340,7 @@ class CliqueService:
                     resplit_tasks=report.resplit_tasks,
                     decompose_seconds=decompose_seconds,
                     chunk_cpu_seconds=dict(aggregator.chunk_cpu_seconds),
+                    task_cpu_seconds=report.task_cpu_seconds,
                     timeline=list(aggregator.timeline),
                 )
                 result["timeline"] = [e.as_dict() for e in stats.timeline]

@@ -124,7 +124,10 @@ class GraphRegistry:
         ``name`` as an additional alias.  A name may only ever point at
         one fingerprint; re-binding it to a different graph is an error
         (silent rebinding would make request results depend on
-        registration history).
+        registration history).  A new graph registered without a name is
+        named by its fingerprint's first 12 hex digits, bound like any
+        other name so that it resolves — or by the full fingerprint when
+        another graph already holds that short name.
         """
         fingerprint = graph_fingerprint(g)
         with self._lock:
@@ -140,6 +143,10 @@ class GraphRegistry:
                     )
             entry = self._by_fingerprint.get(fingerprint)
             if entry is None:
+                if name is None:
+                    name = fingerprint[:12]
+                    if name in self._by_name:
+                        name = fingerprint
                 core = core_decomposition(g)
                 graph_state = GraphState(
                     graph=g, order=core.order, position=core.position,
@@ -148,7 +155,7 @@ class GraphRegistry:
                 # request is as warm as the hundredth.
                 graph_state.bit_graph({"backend": "bitset"})
                 entry = GraphEntry(
-                    name=name or fingerprint[:12],
+                    name=name,
                     fingerprint=fingerprint,
                     graph=g,
                     graph_state=graph_state,

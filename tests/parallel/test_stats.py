@@ -13,7 +13,12 @@ import math
 import pytest
 
 from repro.graph.generators import erdos_renyi_gnm
-from repro.parallel import CountAggregator, ParallelStats, run_parallel
+from repro.parallel import (
+    CountAggregator,
+    ParallelStats,
+    makespan,
+    run_parallel,
+)
 
 
 def _run(g, *, x_aware, n_jobs=1, algorithm="hbbmc++", **options):
@@ -41,15 +46,39 @@ class TestPerChunkCpuAccounting:
         chunk_cpu = stats.chunk_cpu_seconds.values()
         assert stats.total_cpu_seconds == pytest.approx(
             stats.decompose_seconds + sum(chunk_cpu))
+        # One worker runs every task back to back: the makespan is the sum.
         assert stats.critical_path_seconds == pytest.approx(
-            stats.decompose_seconds + max(chunk_cpu))
-        assert stats.critical_path_seconds <= stats.total_cpu_seconds
+            stats.total_cpu_seconds)
 
     def test_x_aware_flag_recorded(self):
         g = erdos_renyi_gnm(20, 60, seed=1)
         for flag in (True, False):
             _count, _counters, stats = _run(g, x_aware=flag)
             assert stats.x_aware is flag
+
+
+class TestCriticalPath:
+    def test_equal_tasks_queue_behind_each_other(self):
+        stats = ParallelStats(n_jobs=4, decompose_seconds=0.5,
+                              task_cpu_seconds=[1.0] * 16)
+        assert stats.critical_path_seconds == pytest.approx(0.5 + 4.0)
+
+    def test_replay_follows_dispatch_order(self):
+        # The first free worker takes the next task: the long task sent
+        # last lands after a short one, not on an idle worker.
+        assert makespan([1.0, 1.0, 1.0, 5.0], 2) == pytest.approx(6.0)
+        assert makespan([5.0, 1.0, 1.0, 1.0], 2) == pytest.approx(5.0)
+        assert makespan([], 4) == 0.0
+
+    def test_steal_run_records_every_task(self):
+        g = erdos_renyi_gnm(40, 300, seed=3)
+        _count, _counters, stats = _run(g, x_aware=True, n_jobs=2,
+                                        steal=True)
+        assert len(stats.task_cpu_seconds) == len(stats.chunk_cpu_seconds)
+        assert stats.critical_path_seconds == pytest.approx(
+            stats.decompose_seconds
+            + makespan(stats.task_cpu_seconds, 2))
+        assert stats.critical_path_seconds <= stats.total_cpu_seconds + 1e-9
 
 
 class TestWorkRatio:

@@ -1,10 +1,9 @@
-"""Property tests: the set, bitset and words backends are observationally equal.
+"""Property tests: the set and bitset backends are observationally equal.
 
-For every generator family and every algorithm the three backends must emit
+For every generator family and every algorithm both backends must emit
 *identical* sorted clique lists and agree on ``Counters.emitted`` — the
 bitset backend is a pure representation change, never an algorithmic one,
-and the words backend executes the bitset backend's decision sequence
-branch for branch on NumPy ``uint64`` word rows.
+under its default degeneracy packing and the identity packing alike.
 """
 
 import pytest
@@ -21,7 +20,13 @@ from repro.graph.generators import (
 
 ALGORITHMS_UNDER_TEST = ["hbbmc++", "ebbmc++", "bk-pivot"]
 
-MASK_BACKENDS = ["bitset", "words"]
+#: mask configuration id -> engine options; "bitset" runs the default
+#: degeneracy packing, "bitset-input" the identity vertex->bit mapping.
+MASK_OPTIONS = {
+    "bitset": {"backend": "bitset"},
+    "bitset-input": {"backend": "bitset", "bit_order": "input"},
+}
+MASK_BACKENDS = list(MASK_OPTIONS)
 
 
 def _generator_cases():
@@ -56,7 +61,7 @@ def test_backends_emit_identical_cliques(graph, algorithm):
     for backend in MASK_BACKENDS:
         collector = CliqueCollector()
         counters = enumerate_to_sink(
-            graph, collector, algorithm=algorithm, backend=backend
+            graph, collector, algorithm=algorithm, **MASK_OPTIONS[backend]
         )
         assert collector.sorted_cliques() == set_collector.sorted_cliques()
         assert counters.emitted == set_counters.emitted
@@ -68,12 +73,13 @@ def test_backends_emit_identical_cliques(graph, algorithm):
 def test_backends_match_on_edge_depth_sweep(algorithm, backend):
     """Deeper edge branching exercises the recursive mask edge engines."""
     g = erdos_renyi_gnm(45, 350, seed=9)
+    options = MASK_OPTIONS[backend]
     reference = maximal_cliques(g, algorithm=algorithm)
-    assert maximal_cliques(g, algorithm=algorithm, backend=backend) == reference
+    assert maximal_cliques(g, algorithm=algorithm, **options) == reference
     if algorithm.startswith("hbbmc"):
         for depth in (2, 3, None):
             assert maximal_cliques(
-                g, algorithm=algorithm, backend=backend, edge_depth=depth
+                g, algorithm=algorithm, edge_depth=depth, **options
             ) == reference
 
 
@@ -83,24 +89,6 @@ def test_backends_match_across_et_thresholds(et_threshold, backend):
     g = erdos_renyi_gnm(50, 450, seed=4)
     a = maximal_cliques(g, algorithm="hbbmc++", backend="set",
                         et_threshold=et_threshold)
-    b = maximal_cliques(g, algorithm="hbbmc++", backend=backend,
-                        et_threshold=et_threshold)
+    b = maximal_cliques(g, algorithm="hbbmc++", et_threshold=et_threshold,
+                        **MASK_OPTIONS[backend])
     assert a == b
-
-
-def test_mask_backends_agree_on_counters():
-    """bitset and words are the *same* decision sequence, not merely the
-    same clique set: every counter matches exactly."""
-    g = erdos_renyi_gnm(60, 700, seed=1)
-    for algorithm in ALGORITHMS_UNDER_TEST:
-        collectors = {}
-        counters = {}
-        for backend in MASK_BACKENDS:
-            collectors[backend] = CliqueCollector()
-            counters[backend] = enumerate_to_sink(
-                g, collectors[backend], algorithm=algorithm, backend=backend
-            )
-        assert (counters["bitset"].as_dict()
-                == counters["words"].as_dict())
-        assert (collectors["bitset"].cliques
-                == collectors["words"].cliques)

@@ -125,7 +125,7 @@ class TestResolveBitOrder:
 
 
 class TestAlgorithmInvariance:
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("backend", ["bitset"])
     @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
     def test_fingerprint_invariant_under_packing(self, algorithm, backend):
         g = erdos_renyi_gnp(24, 0.5, seed=21)
@@ -142,7 +142,23 @@ class TestAlgorithmInvariance:
                                   bit_order=shuffled)
         assert clique_fingerprint(cliques) == reference
 
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
+    def test_et_fingerprint_invariant_under_packing(self, algorithm):
+        """Same invariance on a plex-caveman graph, where the bit-native
+        early-termination path (plex check, decomposition, assembly)
+        handles most branches, so the packing reaches ET's mask logic."""
+        g = plex_caveman(3, 8, 2, seed=23)
+        reference = clique_fingerprint(
+            maximal_cliques(g, algorithm=algorithm, backend="set")
+        )
+        shuffled = list(range(g.n))
+        random.Random(23).shuffle(shuffled)
+        for bit_order in ("input", "degeneracy", shuffled):
+            cliques = maximal_cliques(g, algorithm=algorithm,
+                                      backend="bitset", bit_order=bit_order)
+            assert clique_fingerprint(cliques) == reference
+
+    @pytest.mark.parametrize("backend", ["bitset"])
     @pytest.mark.parametrize("seed", range(5))
     def test_default_algorithm_under_random_permutations(self, seed, backend):
         g = plex_caveman(3, 10, 2, seed=seed)
@@ -151,7 +167,7 @@ class TestAlgorithmInvariance:
         random.Random(seed).shuffle(order)
         assert maximal_cliques(g, backend=backend, bit_order=order) == reference
 
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("backend", ["bitset"])
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_parallel_workers_inherit_packing(self, n_jobs, backend):
         g = erdos_renyi_gnp(26, 0.5, seed=9)
@@ -167,7 +183,7 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             maximal_cliques(g, backend="set", bit_order="degeneracy")
 
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("backend", ["bitset"])
     def test_unknown_bit_order_rejected_at_api(self, backend):
         g = erdos_renyi_gnp(8, 0.5, seed=6)
         with pytest.raises(InvalidParameterError):

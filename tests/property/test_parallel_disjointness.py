@@ -8,7 +8,8 @@ must equal the serial result.  This is the structural invariant that
 eliminates the duplicated-branch work; the tests here pin it directly at
 the :func:`solve_subproblem` level and end to end through the pool, for
 both execution tiers (in-place vertex phase for hbbmc++/bk-pivot, seeded
-``initial_x`` framework run for ebbmc++).
+``initial_x`` framework run for ebbmc++), and for the bitset backend under
+both its default degeneracy packing and the identity packing.
 
 All graphs come from seeded generators — no randomness at test time.
 """
@@ -24,7 +25,14 @@ from repro.graph.generators import (
 )
 
 ALGORITHMS_UNDER_TEST = ["hbbmc++", "ebbmc++", "bk-pivot"]
-BACKENDS_UNDER_TEST = ["set", "bitset", "words"]
+#: backend configuration id -> engine options; "bitset" runs the default
+#: degeneracy packing, "bitset-input" the identity vertex->bit mapping.
+BACKEND_OPTIONS = {
+    "set": {"backend": "set"},
+    "bitset": {"backend": "bitset"},
+    "bitset-input": {"backend": "bitset", "bit_order": "input"},
+}
+BACKENDS_UNDER_TEST = list(BACKEND_OPTIONS)
 N_JOBS_UNDER_TEST = [1, 2, 4]
 
 GENERATOR_CASES = [
@@ -49,7 +57,7 @@ def _streams(graph, algorithm, backend):
     for sp in dec.subproblems:
         cliques, _counters, dropped = solve_subproblem(
             graph, dec.position, sp.vertex,
-            algorithm=algorithm, options={"backend": backend})
+            algorithm=algorithm, options=BACKEND_OPTIONS[backend])
         assert dropped == 0, "X-aware subproblems never post-filter"
         streams.append(cliques)
     return streams
@@ -89,9 +97,10 @@ def test_each_clique_owned_by_its_earliest_vertex(name, graph, backend):
 @pytest.mark.parametrize(
     "name,graph", GENERATOR_CASES, ids=[n for n, _ in GENERATOR_CASES])
 def test_x_aware_pipeline_equals_serial(name, graph, algorithm, backend, n_jobs):
-    serial = maximal_cliques(graph, algorithm=algorithm, backend=backend)
-    assert maximal_cliques(graph, algorithm=algorithm, backend=backend,
-                           n_jobs=n_jobs) == serial
+    options = BACKEND_OPTIONS[backend]
+    serial = maximal_cliques(graph, algorithm=algorithm, **options)
+    assert maximal_cliques(graph, algorithm=algorithm, n_jobs=n_jobs,
+                           **options) == serial
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS_UNDER_TEST)

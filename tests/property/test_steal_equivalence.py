@@ -29,7 +29,14 @@ from repro.parallel import CollectAggregator, ParallelStats, run_parallel
 from repro.verify import clique_fingerprint
 
 ALGORITHM = "hbbmc++"
-BACKENDS = ["set", "bitset", "words"]
+#: backend configuration id -> engine options; "bitset" runs the default
+#: degeneracy packing, "bitset-input" the identity vertex->bit mapping.
+BACKEND_OPTIONS = {
+    "set": {"backend": "set"},
+    "bitset": {"backend": "bitset"},
+    "bitset-input": {"backend": "bitset", "bit_order": "input"},
+}
+BACKENDS = list(BACKEND_OPTIONS)
 N_JOBS = [1, 2, 4]
 
 
@@ -49,7 +56,7 @@ def runs(hub):
                 stats = ParallelStats()
                 counters = run_parallel(
                     hub, aggregator, algorithm=ALGORITHM, n_jobs=n_jobs,
-                    steal=steal, backend=backend, stats=stats,
+                    steal=steal, stats=stats, **BACKEND_OPTIONS[backend],
                 )
                 out[(backend, steal, n_jobs)] = (
                     sorted(aggregator.finish()), counters, stats)

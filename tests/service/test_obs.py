@@ -54,6 +54,24 @@ class TestTracedRequest:
         # Warm request: the graph state must not have shipped again.
         assert find_spans(tree, "ship")[0]["attrs"]["shipped"] is False
 
+    def test_spans_share_one_clock(self, service):
+        import time
+
+        result = service.count("g", trace=True)
+        tree = result["trace"]
+        assert abs(tree["attrs"]["epoch"] - time.time()) < 60.0
+        grafted = 0
+        stack = [tree]
+        while stack:
+            parent = stack.pop()
+            end = parent["start"] + parent["seconds"]
+            for child in parent["children"]:
+                grafted += child["name"] == "chunk"
+                assert parent["start"] <= child["start"] + 1e-6, child
+                assert child["start"] + child["seconds"] <= end + 1e-6, child
+                stack.append(child)
+        assert grafted >= 2
+
     def test_chunk_cpu_sums_to_request_total_within_5_percent(self, service):
         service.count("g")
         result = service.count("g", trace=True)

@@ -77,6 +77,21 @@ class TestRegistry:
         assert len(registry) == 1
         assert [e.name for e in registry.entries()] == ["g"]
 
+    def test_unnamed_registration_name_resolves(self, graph):
+        registry = GraphRegistry()
+        entry = registry.register(graph)
+        assert entry.name == entry.fingerprint[:12]
+        assert registry.resolve(entry.name) is entry
+        # An explicit name already holding the short name is never
+        # rebound: the unnamed graph falls back to its full fingerprint.
+        other = complete_graph(4)
+        taken = graph_fingerprint(other)[:12]
+        registry.register(graph, name=taken)
+        entry = registry.register(other)
+        assert entry.name == entry.fingerprint
+        assert registry.resolve(taken).graph is graph
+        assert registry.resolve(entry.name) is entry
+
     def test_decompositions_share_the_registration_peel(self, graph):
         # One peel per graph: chunk positions and the worker-side order
         # must come from the same core_decomposition run.

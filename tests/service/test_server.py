@@ -57,6 +57,9 @@ class TestHandleRequest:
         response, _ = handle_request(
             service, {"op": "count", "graph": "k4", "jobs": 4})
         assert not response["ok"] and "jobs" in response["error"]
+        response, _ = handle_request(
+            service, {"op": "count", "graph": "k4", "backend": "words"})
+        assert not response["ok"] and "words" in response["error"]
 
     def test_inline_register_requires_exact_integers(self, service):
         # Regression: int() coercion used to silently truncate 2.7 -> 2.
@@ -75,6 +78,18 @@ class TestHandleRequest:
             service, {"op": "count", "graph": "k4", "backend": "bitset",
                       "bit_order": [0.0, 1.0, 2.0, 3.0]})
         assert not response["ok"] and "integer" in response["error"]
+
+    def test_unnamed_register_returns_a_resolvable_name(self, service):
+        response, _ = handle_request(
+            service, {"op": "register", "n": 4, "edges": K4_EDGES})
+        assert response["ok"]
+        name = response["name"]
+        assert name == response["graph"][:12]
+        response, _ = handle_request(service, {"op": "count", "graph": name})
+        assert response["ok"] and response["count"] == 1
+        response, _ = handle_request(
+            service, {"op": "enumerate", "graph": name})
+        assert response["ok"] and response["cliques"] == [[0, 1, 2, 3]]
 
     def test_name_conflict_is_an_error_and_registers_nothing(self, service):
         handle_request(service, {"op": "register", "n": 4,

@@ -94,14 +94,9 @@ class TestBackendFlag:
         assert "hbbmc++" in out
         assert "skipped" in out  # reverse-search has no bitset backend
 
-    def test_enumerate_words_backend(self, graph_file, capsys):
-        assert main(["enumerate", graph_file, "--backend", "words"]) == 0
-        out = capsys.readouterr().out
-        assert out.strip() == "0 1 2 3"  # K4: the one maximal clique
-
 
 class TestBitOrderFlag:
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("backend", ["bitset"])
     @pytest.mark.parametrize("bit_order", ["input", "degeneracy"])
     def test_enumerate_bit_orders_agree(self, graph_file, bit_order, backend,
                                         capsys):
@@ -110,14 +105,14 @@ class TestBitOrderFlag:
         assert capsys.readouterr().out.strip() == "0 1 2 3"  # K4
 
     def test_bit_order_without_mask_backend_exits_2(self, graph_file, capsys):
-        # --backend defaults to set; the error names *both* mask backends
+        # --backend defaults to set; the error names the bitset backend
         # so the fix is discoverable from the one-line message.
         assert main(["enumerate", graph_file,
                      "--bit-order", "degeneracy"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "--bit-order" in err
-        assert "bitset" in err and "words" in err
+        assert "--backend bitset" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_bit_order_misuse_not_swallowed_by_count_all(self, graph_file,
@@ -207,12 +202,18 @@ class TestErrorExits:
         assert len(err.strip().splitlines()) == 1
 
     def test_invalid_parameter_exits_2(self, graph_file, capsys):
-        # reverse-search rejects the bitset backend with InvalidParameterError.
-        assert main(["enumerate", graph_file, "-a", "reverse-search",
-                     "--backend", "bitset"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1
+        for argv in (
+            # reverse-search rejects the bitset backend.
+            ["enumerate", graph_file, "-a", "reverse-search",
+             "--backend", "bitset"],
+            # an unknown backend fails before any work, --all included.
+            ["count", graph_file, "--backend", "words"],
+            ["count", graph_file, "--all", "--backend", "words"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestStats:
