@@ -9,9 +9,8 @@ readings per cell:
   the measured per-task worker CPU time (``time.process_time``, immune to
   host time-sharing) replayed onto k workers in dispatch order
   (``ParallelStats.critical_path_seconds``).  This is the wall clock a
-  machine with >= k free cores would see, and it is what the cost model
-  + chunking strategy actually control — a cost-blind schedule collapses
-  it on skewed graphs.
+  machine with >= k free cores would see, and it is what the cost
+  estimate + LPT packing actually control.
 * ``speedup_vs_serial`` — the same critical path divided into the
   *monolithic* single-process wall time, i.e. the end-to-end win over not
   partitioning at all.  This is the conservative number: it charges the
@@ -38,12 +37,10 @@ Usage::
 The full run writes ``BENCH_parallel.json`` at the repository root;
 ``--quick`` is the CI smoke mode (tiny graphs, workers 1/2, scratch path).
 
-The full run also measures the static-vs-steal *skew scenario*: on
-``ba_heavy_hub`` graphs (one subproblem owns a planted Moon-Moser
-pocket's entire clique stream) it compares the one-shot greedy schedule
-against the work-stealing schedule (``steal=True``) and records
-per-worker CPU skew, critical path, steal and re-split counts.
-``--quick --steal`` runs a small version of the scenario in CI.
+Every row also records ``cpu_skew``: max-over-mean per-worker CPU from
+the chunk timeline (1.0 = perfectly even).  The ``ba-heavy-hub`` family
+(one subproblem owns a planted Moon-Moser pocket's entire clique stream)
+is the skew case: no packing of whole subproblems can balance it.
 """
 
 from __future__ import annotations
@@ -62,6 +59,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.bench.runner import measure
+from repro.obs import timeline_summary
 from repro.parallel import CountAggregator, ParallelStats, run_parallel
 
 ALGORITHM = "hbbmc++"
@@ -82,6 +80,8 @@ def workloads(quick: bool):
             ("erdos-renyi-dense", erdos_renyi_gnm(40, 500, seed=11)),
             ("barabasi-albert", barabasi_albert(50, 5, seed=5)),
             ("ring-of-cliques", ring_of_cliques(4, 4)),
+            ("ba-heavy-hub",
+             ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)),
         ]
     return [
         ("erdos-renyi-dense", erdos_renyi_gnm(150, 5600, seed=11)),
@@ -94,8 +94,7 @@ def workloads(quick: bool):
     ]
 
 
-def _parallel_cell(g, n_jobs: int, chunk_strategy: str, repeats: int,
-                   x_aware: bool, steal: bool = False):
+def _parallel_cell(g, n_jobs: int, repeats: int, x_aware: bool):
     """Best-of-``repeats`` partitioned run at ``n_jobs`` workers."""
     best = None
     for _ in range(max(1, repeats)):
@@ -103,8 +102,7 @@ def _parallel_cell(g, n_jobs: int, chunk_strategy: str, repeats: int,
         stats = ParallelStats()
         start = time.perf_counter()
         run_parallel(g, aggregator, algorithm=ALGORITHM, n_jobs=n_jobs,
-                     chunk_strategy=chunk_strategy, x_aware=x_aware,
-                     steal=steal, stats=stats)
+                     x_aware=x_aware, stats=stats)
         wall = time.perf_counter() - start
         cell = {
             "wall_seconds": wall,
@@ -117,83 +115,7 @@ def _parallel_cell(g, n_jobs: int, chunk_strategy: str, repeats: int,
     return best
 
 
-def skew_scenario(quick: bool, repeats: int) -> dict:
-    """Static greedy vs work-stealing on single-dominant-hub graphs.
-
-    ``ba_heavy_hub`` plants a Moon-Moser pocket whose hub vertex peels
-    first and therefore owns every transversal clique: one subproblem
-    dominates the schedule, which is exactly the shape static LPT packing
-    cannot balance.  The scenario records per-worker CPU skew
-    (``timeline_summary``; 1.0 = perfectly even) and the critical path
-    for both modes, asserting the clique counts agree.
-    """
-    from repro.graph.generators import ba_heavy_hub
-    from repro.obs import timeline_summary
-
-    if quick:
-        graphs = [("ba-heavy-hub-quick",
-                   ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3,
-                                seed=7))]
-        n_jobs = 2
-    else:
-        graphs = [
-            ("ba-heavy-hub-600",
-             ba_heavy_hub(600, 3, hub_parts=7, hub_part_size=4, seed=11)),
-            ("ba-heavy-hub-800",
-             ba_heavy_hub(800, 3, hub_parts=7, hub_part_size=4, seed=5)),
-        ]
-        n_jobs = 4
-    rows = []
-    for name, g in graphs:
-        cells = {}
-        for mode, steal in (("static", False), ("steal", True)):
-            cells[mode] = _parallel_cell(g, n_jobs, "greedy", repeats,
-                                         x_aware=True, steal=steal)
-        if cells["static"]["cliques"] != cells["steal"]["cliques"]:
-            raise AssertionError(
-                f"{name}: static ({cells['static']['cliques']}) and steal "
-                f"({cells['steal']['cliques']}) clique counts disagree"
-            )
-        row = {"family": name, "n": g.n, "m": g.m, "workers": n_jobs,
-               "cliques": cells["static"]["cliques"]}
-        for mode, cell in cells.items():
-            stats = cell["stats"]
-            skew = timeline_summary(stats.timeline)["cpu_skew"]
-            row[mode] = {
-                "cpu_skew": round(skew, 3),
-                "critical_path_seconds": round(
-                    stats.critical_path_seconds, 6),
-                "wall_seconds": round(cell["wall_seconds"], 6),
-                "n_chunks": stats.n_chunks,
-                "balance_ratio": round(stats.balance_ratio, 4),
-                "steals": stats.steals,
-                "resplit_subproblems": stats.resplit_subproblems,
-                "resplit_tasks": stats.resplit_tasks,
-            }
-        static_crit = row["static"]["critical_path_seconds"]
-        steal_crit = row["steal"]["critical_path_seconds"]
-        row["critical_path_speedup"] = (
-            round(static_crit / steal_crit, 3) if steal_crit else 0.0)
-        print(f"{name:20s} workers={n_jobs}  "
-              f"static skew={row['static']['cpu_skew']:5.2f}  "
-              f"steal skew={row['steal']['cpu_skew']:5.2f}  "
-              f"crit {static_crit:.3f}s -> {steal_crit:.3f}s  "
-              f"steals={row['steal']['steals']}")
-        rows.append(row)
-    return {
-        "workers": n_jobs,
-        "chunk_strategy": "greedy",
-        "skew_basis": (
-            "cpu_skew = max-over-mean per-worker CPU from the chunk "
-            "timeline (1.0 = perfectly even); critical path as in the "
-            "scaling rows"
-        ),
-        "rows": rows,
-    }
-
-
-def run(quick: bool, repeats: int, chunk_strategy: str,
-        x_aware: bool = True) -> dict:
+def run(quick: bool, repeats: int, x_aware: bool = True) -> dict:
     worker_counts = (1, 2) if quick else (1, 2, 4, 8)
     families = []
     for name, g in workloads(quick):
@@ -201,7 +123,7 @@ def run(quick: bool, repeats: int, chunk_strategy: str,
         rows = []
         base = None
         for k in worker_counts:
-            cell = _parallel_cell(g, k, chunk_strategy, repeats, x_aware)
+            cell = _parallel_cell(g, k, repeats, x_aware)
             if cell["cliques"] != serial.cliques:
                 raise AssertionError(
                     f"{name}: parallel ({cell['cliques']}) and serial "
@@ -224,6 +146,8 @@ def run(quick: bool, repeats: int, chunk_strategy: str,
                 "wall_speedup": round(serial.seconds / cell["wall_seconds"], 3),
                 "work_ratio": None if math.isnan(work) else round(work, 3),
                 "balance_ratio": round(stats.balance_ratio, 4),
+                "cpu_skew": round(
+                    timeline_summary(stats.timeline)["cpu_skew"], 3),
                 "n_chunks": stats.n_chunks,
             })
             work_text = "  n/a" if math.isnan(work) else f"{work:5.2f}x"
@@ -265,7 +189,6 @@ def run(quick: bool, repeats: int, chunk_strategy: str,
     return {
         "experiment": "parallel-scaling",
         "algorithm": ALGORITHM,
-        "chunk_strategy": chunk_strategy,
         "x_aware": x_aware,
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -282,6 +205,10 @@ def run(quick: bool, repeats: int, chunk_strategy: str,
             "host's actual wall clock and is overhead-bound when host_cpus < "
             "workers."
         ),
+        "skew_basis": (
+            "cpu_skew = max-over-mean per-worker CPU from the chunk "
+            "timeline (1.0 = perfectly even)"
+        ),
         "families": families,
         **summary,
     }
@@ -293,24 +220,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="tiny graphs, workers 1/2 (CI smoke mode)")
     parser.add_argument("--repeats", type=int, default=None,
                         help="repeats per cell, fastest kept")
-    parser.add_argument("--chunk-strategy", default="greedy",
-                        choices=["greedy", "contiguous", "round-robin"])
     parser.add_argument("--no-x-aware", action="store_true",
                         help="measure the legacy enumerate-then-filter "
                              "decomposition instead of X-aware subproblems")
-    parser.add_argument("--steal", action="store_true",
-                        help="include the static-vs-steal skew scenario in "
-                             "--quick mode (the full run always includes it)")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default: BENCH_parallel.json "
                              "at the repo root; /tmp scratch in --quick mode)")
     args = parser.parse_args(argv)
 
     repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    results = run(args.quick, repeats, args.chunk_strategy,
-                  x_aware=not args.no_x_aware)
-    if not args.quick or args.steal:
-        results["skew_scenario"] = skew_scenario(args.quick, repeats)
+    results = run(args.quick, repeats, x_aware=not args.no_x_aware)
 
     if args.out:
         out = pathlib.Path(args.out)

@@ -34,7 +34,7 @@ CHECKER = "picklesafety"
 EXPLAIN = {
     "rule": (
         "Types shipped across the process boundary (GraphState, "
-        "RequestConfig, SplitTask, Chunk, ChunkResult) must be "
+        "RequestConfig, Chunk, ChunkResult) must be "
         "transitively composed of the allowlisted picklable atoms in "
         "config.pickle_atoms, and pool ship calls (apply_async, "
         "map_async, ...) may not carry lambdas, closures or local "

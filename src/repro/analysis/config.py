@@ -133,7 +133,6 @@ class LintConfig:
     pickle_roster: tuple[str, ...] = (
         "repro.parallel.pool:GraphState",
         "repro.parallel.pool:RequestConfig",
-        "repro.parallel.pool:SplitTask",
         "repro.parallel.scheduler:Chunk",
         "repro.parallel.aggregate:ChunkResult",
     )
@@ -164,7 +163,7 @@ class LintConfig:
     #: the task/initializer functions workers actually execute; anything
     #: they can reach through the call graph runs worker-side.
     worker_entry_functions: tuple[str, ...] = (
-        "_init_worker", "_install_graph", "_run_chunk", "_run_split",
+        "_init_worker", "_install_graph", "_run_chunk",
     )
     #: factories whose products do not survive ``fork`` (locks held by
     #: other threads, live sockets, nested pools); calling one at import

@@ -57,8 +57,6 @@ class Knob:
 
 def default_knobs() -> tuple[Knob, ...]:
     """The project's knob registry (checked against the tree by the linter)."""
-    parent_side = ("scheduling happens parent-side before tasks are cut; "
-                   "workers only ever see finished chunks")
     in_algorithm = ("encoded in the registered algorithm variants "
                     "(hbbmc vs hbbmc+ vs hbbmc++); select via --algorithm")
     return (
@@ -78,18 +76,7 @@ def default_knobs() -> tuple[Knob, ...]:
              service=SERVICE_CONSTRUCTOR, worker=None,
              notes={"worker": "pool size is a property of the pool itself, "
                               "not of any task shipped to it"}),
-        Knob("chunk_strategy", api=API_PARAM, cli="--chunk-strategy",
-             service=SERVICE_CONSTRUCTOR, worker=None,
-             notes={"worker": parent_side}),
-        Knob("cost_model", api=API_PARAM, cli="--cost-model",
-             service=SERVICE_CONSTRUCTOR, worker=None,
-             notes={"worker": parent_side}),
-        Knob("chunks_per_worker", api=API_PARAM, cli="--chunks-per-worker",
-             service=SERVICE_CONSTRUCTOR, worker=None,
-             notes={"worker": parent_side}),
         Knob("x_aware", api=API_PARAM, cli="--no-x-aware",
-             service=SERVICE_REQUEST, worker=WORKER_FIELD),
-        Knob("steal", api=API_PARAM, cli="--steal",
              service=SERVICE_REQUEST, worker=WORKER_FIELD),
         Knob("trace", api=API_PARAM, cli="--trace",
              service=SERVICE_REQUEST, worker=WORKER_FIELD),

@@ -34,19 +34,23 @@ masks.
 ``maximal_cliques``, ``count_maximal_cliques`` and ``enumerate_to_sink``
 also accept ``n_jobs=N`` to fan the enumeration out over the
 degeneracy-partitioned worker pool (:mod:`repro.parallel`): the root level
-splits into per-vertex subproblems packed into cost-balanced chunks
-(``chunk_strategy=``, ``cost_model=``), each solved by the selected
-algorithm/backend in a worker process.  Subproblems are X-set-aware by
-default — each worker seeds its engine's exclusion set from the degeneracy
-order so no branch is explored twice across workers (``x_aware=False``
-restores the enumerate-then-filter decomposition).  Results merge
+splits into per-vertex subproblems packed into one cost-balanced chunk per
+worker, each solved by the selected algorithm/backend in a worker process.
+Subproblems are X-set-aware by default — each worker seeds its engine's
+exclusion set from the degeneracy order so no branch is explored twice
+across workers (``x_aware=False`` restores the enumerate-then-filter
+decomposition).  Results merge
 deterministically, so every ``n_jobs`` value yields the identical clique
 stream; ``n_jobs=1`` runs the same partitioned pipeline in-process and
 ``n_jobs=None`` (the default) is the classic single-process path.
+
+Any other keyword is an engine option; one the selected algorithm does not
+accept raises :class:`repro.exceptions.InvalidParameterError` naming it.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -69,7 +73,7 @@ from repro.baselines import (
 from repro.core.counters import Counters, RunReport
 from repro.core.frameworks import run_hybrid, run_vertex
 from repro.core.result import CliqueCollector, CliqueCounter, CliqueSink
-from repro.exceptions import UnknownAlgorithmError
+from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.graph.adjacency import Graph
 from repro.obs import Tracer, maybe_span
 
@@ -99,6 +103,9 @@ class AlgorithmSpec:
     ``None`` (the pure edge-oriented family) means the subproblem instead
     runs the full registered framework on a compact branch graph with
     ``initial_x`` seeded.
+
+    ``options`` names the keyword options the runner accepts, read once
+    from its signature at registration.
     """
 
     name: str
@@ -107,14 +114,19 @@ class AlgorithmSpec:
     family: str  # "hybrid", "vertex", "edge" or "reverse-search"
     supports_initial_x: bool = True
     subproblem_phase: dict | None = None
+    options: frozenset[str] = frozenset()
 
 
 def _spec(name: str, runner: AlgorithmFn, description: str, family: str,
           supports_initial_x: bool = True,
           subproblem_phase: dict | None = None) -> AlgorithmSpec:
+    options = frozenset(
+        p.name for p in inspect.signature(runner).parameters.values()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    )
     return AlgorithmSpec(name=name, runner=runner, description=description,
                          family=family, supports_initial_x=supports_initial_x,
-                         subproblem_phase=subproblem_phase)
+                         subproblem_phase=subproblem_phase, options=options)
 
 
 ALGORITHMS: dict[str, AlgorithmSpec] = {
@@ -215,11 +227,7 @@ def enumerate_to_sink(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
     x_aware: bool | None = None,
-    steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> Counters:
@@ -246,19 +254,20 @@ def enumerate_to_sink(
         aggregator = CallbackAggregator(sink)
         counters = run_parallel(
             g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
-                               chunks_per_worker, steal),
-            **options,
+            **_parallel_kwargs(x_aware), **options,
         )
         with maybe_span(trace, "merge", mode=aggregator.mode):
             aggregator.finish()
         return counters
-    _reject_serial_parallel_options(chunk_strategy, cost_model, x_aware,
-                                    chunks_per_worker, steal)
+    _reject_serial_parallel_options(x_aware)
     spec = get_algorithm(algorithm)
+    unknown = sorted(set(options) - spec.options)
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown option(s) {', '.join(unknown)} for algorithm "
+            f"{spec.name!r}; accepted: {', '.join(sorted(spec.options))}"
+        )
     if "initial_x" in options and not spec.supports_initial_x:
-        from repro.exceptions import InvalidParameterError
-
         raise InvalidParameterError(
             f"algorithm {algorithm!r} does not support initial_x (it cannot "
             "seed an exclusion set)"
@@ -274,45 +283,20 @@ def enumerate_to_sink(
 
 def _validate_trace(trace: Tracer | None) -> None:
     if trace is not None and not isinstance(trace, Tracer):
-        from repro.exceptions import InvalidParameterError
-
         raise InvalidParameterError(
             f"trace must be a repro.obs.Tracer or None, got {trace!r}"
         )
 
 
-def _parallel_kwargs(chunk_strategy: str | None, cost_model: str | None,
-                     x_aware: bool | None = None,
-                     chunks_per_worker: int | None = None,
-                     steal: bool | None = None) -> dict:
-    kwargs = {}
-    if chunk_strategy is not None:
-        kwargs["chunk_strategy"] = chunk_strategy
-    if cost_model is not None:
-        kwargs["cost_model"] = cost_model
+def _parallel_kwargs(x_aware: bool | None) -> dict:
+    return {} if x_aware is None else {"x_aware": x_aware}
+
+
+def _reject_serial_parallel_options(x_aware: bool | None) -> None:
+    """``x_aware`` without ``n_jobs`` is almost certainly a mistake."""
     if x_aware is not None:
-        kwargs["x_aware"] = x_aware
-    if chunks_per_worker is not None:
-        kwargs["chunks_per_worker"] = chunks_per_worker
-    if steal is not None:
-        kwargs["steal"] = steal
-    return kwargs
-
-
-def _reject_serial_parallel_options(
-    chunk_strategy: str | None, cost_model: str | None,
-    x_aware: bool | None = None, chunks_per_worker: int | None = None,
-    steal: bool | None = None,
-) -> None:
-    """Scheduling knobs without ``n_jobs`` are almost certainly a mistake."""
-    from repro.exceptions import InvalidParameterError
-
-    if chunk_strategy is not None or cost_model is not None \
-            or x_aware is not None or chunks_per_worker is not None \
-            or steal is not None:
         raise InvalidParameterError(
-            "chunk_strategy/cost_model/x_aware/chunks_per_worker/steal "
-            "require n_jobs (the parallel path)"
+            "x_aware requires n_jobs (the parallel path)"
         )
 
 
@@ -322,11 +306,7 @@ def maximal_cliques(
     algorithm: str = DEFAULT_ALGORITHM,
     sort: bool = True,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
     x_aware: bool | None = None,
-    steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> list[tuple[int, ...]]:
@@ -340,11 +320,8 @@ def maximal_cliques(
     """
     collector = CliqueCollector()
     enumerate_to_sink(
-        g, collector, algorithm=algorithm, n_jobs=n_jobs,
-        chunk_strategy=chunk_strategy, cost_model=cost_model,
-        chunks_per_worker=chunks_per_worker, x_aware=x_aware, steal=steal,
-        trace=trace,
-        **options,
+        g, collector, algorithm=algorithm, n_jobs=n_jobs, x_aware=x_aware,
+        trace=trace, **options,
     )
     if sort:
         return collector.sorted_cliques()
@@ -356,11 +333,7 @@ def count_maximal_cliques(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
     x_aware: bool | None = None,
-    steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> int:
@@ -375,14 +348,11 @@ def count_maximal_cliques(
         aggregator = CountAggregator()
         run_parallel(
             g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
-                               chunks_per_worker, steal),
-            **options,
+            **_parallel_kwargs(x_aware), **options,
         )
         with maybe_span(trace, "merge", mode=aggregator.mode):
             return aggregator.finish()
-    _reject_serial_parallel_options(chunk_strategy, cost_model, x_aware,
-                                    chunks_per_worker, steal)
+    _reject_serial_parallel_options(x_aware)
     counter = CliqueCounter()
     enumerate_to_sink(g, counter, algorithm=algorithm, trace=trace, **options)
     return counter.count
@@ -393,11 +363,7 @@ def run_with_report(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
     x_aware: bool | None = None,
-    steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> RunReport:
@@ -414,15 +380,12 @@ def run_with_report(
         aggregator = CountAggregator()
         counters = run_parallel(
             g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
-                               chunks_per_worker, steal),
-            **options,
+            **_parallel_kwargs(x_aware), **options,
         )
         with maybe_span(trace, "merge", mode=aggregator.mode):
             count = aggregator.finish()
     else:
-        _reject_serial_parallel_options(chunk_strategy, cost_model, x_aware,
-                                        chunks_per_worker, steal)
+        _reject_serial_parallel_options(x_aware)
         counter = CliqueCounter()
         counters = enumerate_to_sink(g, counter, algorithm=algorithm,
                                      trace=trace, **options)

@@ -22,13 +22,7 @@ from repro.api import ALGORITHMS, DEFAULT_ALGORITHM, maximal_cliques, run_with_r
 from repro.core.phases import BACKENDS
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.graph.bitadj import BIT_ORDERS
-from repro.parallel import (
-    CHUNK_STRATEGIES,
-    COST_MODELS,
-    DEFAULT_CHUNK_STRATEGY,
-    DEFAULT_COST_MODEL,
-    parse_jobs,
-)
+from repro.parallel import parse_jobs
 from repro.graph.adjacency import Graph
 from repro.graph.generators import DATASET_NAMES, load_dataset, paper_stats
 from repro.graph.io import load_graph
@@ -79,28 +73,10 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                              "parallel pool (positive integer; default: "
                              "classic single-process run; 1 = partitioned "
                              "pipeline without subprocesses)")
-    parser.add_argument("--chunk-strategy", choices=CHUNK_STRATEGIES,
-                        default=None,
-                        help="how subproblems are packed into worker chunks "
-                             f"(default: {DEFAULT_CHUNK_STRATEGY}; requires "
-                             "--jobs)")
-    parser.add_argument("--cost-model", choices=COST_MODELS, default=None,
-                        help="subproblem cost estimate driving the chunk "
-                             f"packing (default: {DEFAULT_COST_MODEL}; "
-                             "requires --jobs)")
-    parser.add_argument("--chunks-per-worker", type=int, default=None,
-                        metavar="K",
-                        help="cut K cost-balanced chunks per worker instead "
-                             "of 1 (finer-grained stealing; requires --jobs)")
     parser.add_argument("--no-x-aware", action="store_true",
                         help="disable X-set-aware subproblems: enumerate "
                              "each subproblem fully, then filter duplicated "
                              "cliques (requires --jobs; default: X-aware)")
-    parser.add_argument("--steal", action="store_true",
-                        help="work-stealing schedule: many small chunks "
-                             "dispatched dynamically, cost outliers re-split "
-                             "at their root (requires --jobs; default: "
-                             "static chunking)")
 
 
 def _backend_options(args: argparse.Namespace) -> dict:
@@ -128,34 +104,20 @@ def _backend_options(args: argparse.Namespace) -> dict:
 
 
 def _parallel_options(args: argparse.Namespace) -> dict:
-    """Translate --jobs/--chunk-strategy into API keyword arguments.
+    """Translate --jobs/--no-x-aware into API keyword arguments.
 
     ``--jobs`` is validated here (not by argparse) so bad values follow the
     library's error convention: exit code 2 with a one-line message.
     """
     if args.jobs is None:
-        for flag, given in (("--chunk-strategy", args.chunk_strategy is not None),
-                            ("--cost-model", args.cost_model is not None),
-                            ("--chunks-per-worker",
-                             args.chunks_per_worker is not None),
-                            ("--no-x-aware", args.no_x_aware),
-                            ("--steal", args.steal)):
-            if given:
-                raise InvalidParameterError(
-                    f"{flag} requires --jobs (the parallel path)"
-                )
+        if args.no_x_aware:
+            raise InvalidParameterError(
+                "--no-x-aware requires --jobs (the parallel path)"
+            )
         return {}
     options = {"n_jobs": parse_jobs(args.jobs)}
-    if args.chunk_strategy is not None:
-        options["chunk_strategy"] = args.chunk_strategy
-    if args.cost_model is not None:
-        options["cost_model"] = args.cost_model
-    if args.chunks_per_worker is not None:
-        options["chunks_per_worker"] = args.chunks_per_worker
     if args.no_x_aware:
         options["x_aware"] = False
-    if args.steal:
-        options["steal"] = True
     return options
 
 
@@ -299,13 +261,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             "--format applies to --graph files; none were given"
         )
-    service = CliqueService(
-        n_jobs=n_jobs,
-        chunk_strategy=args.chunk_strategy or DEFAULT_CHUNK_STRATEGY,
-        cost_model=args.cost_model or DEFAULT_COST_MODEL,
-        chunks_per_worker=args.chunks_per_worker
-        if args.chunks_per_worker is not None else 1,
-    )
+    service = CliqueService(n_jobs=n_jobs)
     metrics_server = None
     try:
         for code in args.dataset or []:
@@ -410,14 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", metavar="N", default=None,
                    help="worker processes for the warm pool (positive "
                         "integer; default: 1 = in-process)")
-    p.add_argument("--chunk-strategy", choices=CHUNK_STRATEGIES, default=None,
-                   help=f"chunk packing strategy (default: "
-                        f"{DEFAULT_CHUNK_STRATEGY})")
-    p.add_argument("--cost-model", choices=COST_MODELS, default=None,
-                   help=f"subproblem cost model (default: "
-                        f"{DEFAULT_COST_MODEL})")
-    p.add_argument("--chunks-per-worker", type=int, default=None, metavar="K",
-                   help="cost-balanced chunks per worker (default: 1)")
     p.add_argument("--dataset", action="append", metavar="CODE",
                    help="pre-register a bundled dataset (repeatable)")
     p.add_argument("--graph", action="append", metavar="FILE",
@@ -446,8 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise InvalidParameterError(
+                f"unrecognized argument(s): {' '.join(unknown)}"
+            )
         return args.fn(args)
     except (UnknownAlgorithmError, InvalidParameterError) as exc:
         # User errors exit with a one-line diagnostic, not a traceback.

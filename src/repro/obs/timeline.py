@@ -8,9 +8,8 @@ slews) and the
 worker-side ``process_time`` actually burned, plus the branch counters
 for that chunk.  The events ride back on the chunk results, land in
 ``ParallelStats.timeline`` and surface through the service's trace
-payload — the raw material for proving (or disproving) load skew, which
-is the measurement the work-stealing roadmap item needs before it can
-claim a win.
+payload — the raw material for proving (or disproving) load skew:
+:func:`timeline_summary` reduces them to per-worker CPU and its skew.
 """
 
 from __future__ import annotations

@@ -5,16 +5,11 @@ subproblems along a degeneracy ordering (:mod:`repro.parallel.decompose`),
 each carrying both its candidate set (later neighbours) and its seeded
 exclusion set (earlier neighbours) so the per-subproblem clique streams
 are pairwise disjoint and no branch is explored twice across workers;
-a cost model packs them into balanced chunks
-(:mod:`repro.parallel.scheduler`); a ``multiprocessing`` pool solves each
-chunk with any registered algorithm/backend
+LPT packing of a per-subproblem cost estimate cuts them into one balanced
+chunk per worker (:mod:`repro.parallel.scheduler`); a ``multiprocessing``
+pool solves each chunk with any registered algorithm/backend
 (:mod:`repro.parallel.pool`); and pluggable aggregators merge the streams
 back deterministically (:mod:`repro.parallel.aggregate`).
-
-``steal=True`` swaps the one-shot fan-out for a work-stealing schedule:
-many small chunks dispatched dynamically as workers free up, with
-cost-outlier subproblems re-split at their own root level so no single
-chunk can dominate the critical path on skewed graphs.
 
 Most callers never import this package directly — pass ``n_jobs=`` to
 :func:`repro.api.maximal_cliques`, :func:`repro.api.count_maximal_cliques`
@@ -29,8 +24,6 @@ from repro.parallel.aggregate import (
     CountAggregator,
 )
 from repro.parallel.decompose import (
-    COST_MODELS,
-    DEFAULT_COST_MODEL,
     Decomposition,
     Subproblem,
     decompose,
@@ -40,29 +33,18 @@ from repro.parallel.pool import (
     GraphState,
     ParallelStats,
     RequestConfig,
-    SplitTask,
-    SubmitReport,
     WorkerPool,
-    mark_resplit,
     parse_jobs,
-    plan_steal_schedule,
-    record_steal_metrics,
     run_parallel,
     validate_n_jobs,
     validate_parallel_options,
 )
 from repro.parallel.scheduler import (
-    CHUNK_STRATEGIES,
-    DEFAULT_CHUNK_STRATEGY,
     Chunk,
-    StealPlan,
     balance_ratio,
     chunk_summary,
     make_chunks,
     makespan,
-    plan_steal,
-    resplit_threshold,
-    steal_chunk_count,
 )
 
 __all__ = [
@@ -71,8 +53,6 @@ __all__ = [
     "ChunkResult",
     "CollectAggregator",
     "CountAggregator",
-    "COST_MODELS",
-    "DEFAULT_COST_MODEL",
     "Decomposition",
     "Subproblem",
     "decompose",
@@ -80,25 +60,14 @@ __all__ = [
     "GraphState",
     "ParallelStats",
     "RequestConfig",
-    "SplitTask",
-    "SubmitReport",
     "WorkerPool",
-    "mark_resplit",
     "parse_jobs",
-    "plan_steal_schedule",
-    "record_steal_metrics",
     "run_parallel",
     "validate_n_jobs",
     "validate_parallel_options",
-    "CHUNK_STRATEGIES",
-    "DEFAULT_CHUNK_STRATEGY",
     "Chunk",
-    "StealPlan",
     "balance_ratio",
     "chunk_summary",
     "make_chunks",
     "makespan",
-    "plan_steal",
-    "resplit_threshold",
-    "steal_chunk_count",
 ]

@@ -35,14 +35,8 @@ from dataclasses import dataclass
 
 from repro.core.counters import Counters
 from repro.core.result import CliqueCollector
-from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.coreness import core_decomposition
-
-COST_MODELS = ("uniform", "candidates", "edges", "triangles")
-
-DEFAULT_COST_MODEL = "edges"
-
 
 @dataclass(frozen=True)
 class Subproblem:
@@ -68,7 +62,7 @@ class Decomposition:
         position: ``position[v]`` is the index of ``v`` in ``order``.
         subproblems: one :class:`Subproblem` per vertex, in order.
         total_cost: sum of all subproblem costs.
-        seconds: wall-clock time spent decomposing (cost-model included).
+        seconds: wall-clock time spent decomposing (cost estimates included).
     """
 
     order: list[int]
@@ -92,37 +86,19 @@ def subproblem_sets(
     return later, earlier
 
 
-def _estimate_cost(g: Graph, later: set[int], model: str) -> float:
+def _estimate_cost(g: Graph, later: set[int]) -> float:
     """Estimated enumeration cost of one subproblem.
 
-    * ``uniform`` — every subproblem weighs 1 (no balancing signal).
-    * ``candidates`` — ``|later|``: linear proxy, free to compute.
-    * ``edges`` — edges of ``G[later]`` plus ``|later| + 1``: quadratic
-      proxy tracking candidate-graph density (the default).
-    * ``triangles`` — triangles of ``G[later]`` plus the edge cost: cubic
-      proxy, closest to branch-tree size but the most expensive estimate.
+    Edges of ``G[later]`` plus ``|later| + 1``: a quadratic proxy that
+    tracks candidate-graph density, cheap enough to compute for every
+    vertex at decomposition time.
     """
-    if model == "uniform":
-        return 1.0
-    size = len(later)
-    if model == "candidates":
-        return float(size + 1)
     adj = g.adj
-    inner = [adj[w] & later for w in later]
-    edges = sum(len(s) for s in inner) // 2
-    if model == "edges":
-        return float(edges + size + 1)
-    # triangles: every triangle of G[later] is counted once per corner.
-    by_vertex = dict(zip(later, inner))
-    triangles = 0
-    for w, nbrs in by_vertex.items():
-        for x in nbrs:
-            triangles += len(nbrs & by_vertex[x])
-    return float(triangles // 6 + edges + size + 1)
+    edges = sum(len(adj[w] & later) for w in later) // 2
+    return float(edges + len(later) + 1)
 
 
-def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
-              core=None) -> Decomposition:
+def decompose(g: Graph, *, core=None) -> Decomposition:
     """Partition the root level of the search into per-vertex subproblems.
 
     ``core`` optionally supplies an already-computed
@@ -131,10 +107,6 @@ def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
     the re-peel *and* guarantee every consumer shares the same vertex
     order.
     """
-    if cost_model not in COST_MODELS:
-        raise InvalidParameterError(
-            f"unknown cost model {cost_model!r}; expected one of {COST_MODELS}"
-        )
     start = time.perf_counter()
     if core is None:
         core = core_decomposition(g)
@@ -142,7 +114,7 @@ def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
     total = 0.0
     for p, v in enumerate(core.order):
         later, _ = subproblem_sets(g, core.position, v)
-        cost = _estimate_cost(g, later, cost_model)
+        cost = _estimate_cost(g, later)
         subproblems.append(Subproblem(position=p, vertex=v, cost=cost))
         total += cost
     return Decomposition(
@@ -216,10 +188,8 @@ def solve_branch(
     adjacency (or its bitmask view) — no subgraph, no relabelling, no
     per-subproblem ordering or reduction prologue.  ``graph_reduction``
     in ``options`` is ignored, matching the frameworks' reduction bypass
-    under a seeded exclusion set.  This is the shared primitive of the
-    per-vertex subproblem (``stem=[v]``) and the work-stealing re-split
-    (``stem=[v, w]`` for each root-level candidate ``w``): both are the
-    same X-aware decomposition, applied one level apart.
+    under a seeded exclusion set.  The per-vertex subproblem runs it with
+    ``stem=[v]``.
 
     Returns the canonical clique list (each tuple ascending, list sorted)
     and the branch counters, with ``emitted`` set to the clique count.
@@ -260,21 +230,6 @@ def solve_branch(
     cliques = sorted(tuple(sorted(clique)) for clique in out)
     counters.emitted = len(cliques)
     return cliques, counters
-
-
-def _solve_in_place(
-    g: Graph,
-    v: int,
-    later: set[int],
-    earlier: set[int],
-    phase_kwargs: dict,
-    options: dict,
-    bit_graph,
-) -> tuple[list[tuple[int, ...]], Counters, int]:
-    """Run the branch ``(S={v}, C=later, X=earlier)`` on ``g`` directly."""
-    cliques, counters = solve_branch(g, [v], later, earlier, phase_kwargs,
-                                     options, bit_graph)
-    return cliques, counters, 0
 
 
 def solve_subproblem(
@@ -329,8 +284,10 @@ def solve_subproblem(
 
     spec = get_algorithm(algorithm)
     if x_aware and uses_in_place_phase(algorithm, options):
-        return _solve_in_place(g, v, later, earlier, spec.subproblem_phase,
-                               options, bit_graph)
+        cliques, counters = solve_branch(g, [v], later, earlier,
+                                         spec.subproblem_phase, options,
+                                         bit_graph)
+        return cliques, counters, 0
 
     if x_aware and spec.supports_initial_x:
         sub, old_ids, x_local = _subproblem_graph(g, later, earlier)

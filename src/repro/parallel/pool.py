@@ -12,6 +12,10 @@ Task encoding is deliberately pickling-lean and split by weight:
 * a task is then just ``(graph key, config, Chunk)`` and a result is one
   :class:`ChunkResult`.
 
+One schedule: the decomposition's subproblems are packed LPT into
+``min(n_jobs, #subproblems)`` chunks, one per worker, every chunk is sent
+at once and the results are drained as they arrive.
+
 :class:`WorkerPool` owns the pool lifecycle: create once, ``submit()``
 many times (any mix of graphs and configs), explicit ``close()``.  The
 long-running service mode (:mod:`repro.service`) keeps one warm instance
@@ -49,26 +53,16 @@ from repro.parallel.aggregate import (
     count_payload,
 )
 from repro.parallel.decompose import (
-    DEFAULT_COST_MODEL,
-    Decomposition,
-    Subproblem,
     decompose,
-    solve_branch,
     solve_subproblem,
-    subproblem_sets,
     uses_in_place_phase,
 )
 from repro.parallel.scheduler import (
-    DEFAULT_CHUNK_STRATEGY,
-    STEAL_CHUNK_FACTOR,
     Chunk,
     balance_ratio,
     chunk_summary,
     make_chunks,
     makespan,
-    plan_steal,
-    resplit_threshold,
-    steal_chunk_count,
 )
 
 if TYPE_CHECKING:
@@ -90,9 +84,11 @@ _BROADCAST_TIMEOUT = 60.0
 #: surviving workers' errors can never release the map).
 _BROADCAST_GRACE = 15.0
 
-#: a subproblem below this many root-level candidates is never re-split —
-#: the per-branch dispatch overhead cannot pay for itself.
-_MIN_RESPLIT_CANDIDATES = 4
+#: how long the parent waits on chunk results before it checks that every
+#: worker is still alive.  A long chunk just costs more ticks; a worker
+#: that died took its chunk with it, and the check turns that into a
+#: :class:`WorkerPoolError` instead of a wait that never ends.
+_LIVENESS_TICK = 0.25
 
 #: What a per-request knob value may be: the JSON scalars plus an explicit
 #: ``bit_order`` vertex permutation.  Spelled out (rather than ``Any``) so
@@ -167,7 +163,6 @@ class RequestConfig:
     options: dict[str, OptionValue]
     mode: str  # "collect" or "count"
     x_aware: bool = True
-    steal: bool = False
     trace: TraceContext | None = None
 
 
@@ -179,32 +174,20 @@ class ParallelStats:
     place.  ``chunk_cpu_seconds`` is worker-side ``process_time`` per chunk
     (time-sharing-proof); its sum is the total partitioned CPU from which
     :meth:`work_ratio` derives the duplicated-work overhead versus the
-    serial run.  ``task_cpu_seconds`` holds the same CPU per task in
-    dispatch order, split parts counted individually; replayed onto
-    ``n_jobs`` workers it gives :attr:`critical_path_seconds`.
+    serial run; replayed onto ``n_jobs`` workers in chunk (dispatch)
+    order it gives :attr:`critical_path_seconds`.
     """
 
     n_jobs: int = 0
     n_subproblems: int = 0
     n_chunks: int = 0
-    chunk_strategy: str = ""
-    cost_model: str = ""
     start_method: str = ""
     x_aware: bool = True
-    steal: bool = False
-    #: tasks a worker pulled off the dynamic queue beyond the initial
-    #: dispatch window (0 in static mode by definition).
-    steals: int = 0
-    #: subproblems re-split at their own root level, and the split tasks
-    #: they produced.
-    resplit_subproblems: int = 0
-    resplit_tasks: int = 0
     decompose_seconds: float = 0.0
     balance_ratio: float = 1.0
     chunk_costs: list[float] = field(default_factory=list)
     chunk_sizes: list[int] = field(default_factory=list)
     chunk_cpu_seconds: dict[int, float] = field(default_factory=dict)
-    task_cpu_seconds: list[float] = field(default_factory=list)
     #: per-chunk execution records (worker id, wall start/end, CPU,
     #: branch counters) — see :mod:`repro.obs.timeline`.
     timeline: list[WorkerTimelineEvent] = field(default_factory=list)
@@ -218,12 +201,13 @@ class ParallelStats:
     def critical_path_seconds(self) -> float:
         """Decomposition prologue plus the schedule's makespan.
 
-        The makespan replays each task's CPU, in dispatch order, onto
+        The makespan replays each chunk's CPU, in dispatch order, onto
         ``n_jobs`` workers with the pool's policy (see :func:`makespan`):
         the wall clock of a host with ``n_jobs`` free cores.
         """
-        return self.decompose_seconds + makespan(self.task_cpu_seconds,
-                                                 self.n_jobs)
+        cpu = self.chunk_cpu_seconds
+        return self.decompose_seconds + makespan(
+            [cpu[i] for i in sorted(cpu)], self.n_jobs)
 
     def work_ratio(self, serial_seconds: float) -> float:
         """Total partitioned CPU over the monolithic serial wall time.
@@ -371,7 +355,7 @@ def _install_graph(task: tuple[str, GraphState]) -> str:
 
     The barrier (sized to the pool) guarantees each worker executes exactly
     one install per broadcast — a worker that grabbed its copy blocks until
-    every other worker has grabbed one too, so none can steal a second.
+    every other worker has grabbed one too, so none can take a second.
 
     The wait is bounded: a worker that died between spin-up and the
     broadcast can never arrive, and an unbounded barrier would park the
@@ -399,278 +383,6 @@ def _run_chunk(task: tuple[str, RequestConfig, Chunk]) -> ChunkResult:
     if graph_state is None:  # pragma: no cover - defensive
         raise RuntimeError(f"worker never received graph state {key!r}")
     return _solve_chunk(graph_state, config, chunk)
-
-
-# ---------------------------------------------------------------------------
-# Root-level re-splitting (steal mode)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitTask:
-    """One part of a re-split subproblem.
-
-    A cost-model outlier is split at its own root level: for root ``v``
-    with candidates ``w_0 < w_1 < ...`` (degeneracy-position order), the
-    branch of ``w_i`` is the X-aware subproblem one level down —
-    ``S = {v, w_i}``, candidates the later co-neighbours, exclusion the
-    earlier ones (recursive application of the PR-3 decomposition, so the
-    branches are disjoint and together exactly cover the subproblem).
-    ``branches`` lists the candidate indices this part owns; ``part`` /
-    ``parts`` let the parent-side merger recognise the last arrival.
-    ``index`` shares the chunk index namespace (unique across both).
-    """
-
-    index: int
-    position: int
-    branches: tuple[int, ...]
-    part: int
-    parts: int
-    cost: float
-
-
-def mark_resplit(g: Graph, decomposition: Decomposition) -> list[int]:
-    """Subproblem positions steal mode re-splits at their own root.
-
-    Marking is pure cost-model arithmetic — deterministic across
-    ``n_jobs`` and repeats by construction.  Subproblems with fewer than
-    ``_MIN_RESPLIT_CANDIDATES`` root candidates are left alone.  The
-    caller decides *eligibility* (re-splitting needs the in-place X-aware
-    tier, the branch primitive :func:`solve_branch`); this function only
-    applies the cost rule.
-    """
-    threshold = resplit_threshold([s.cost for s in decomposition.subproblems])
-    marked: list[int] = []
-    for sub in decomposition.subproblems:
-        if sub.cost <= threshold:
-            continue
-        later, _ = subproblem_sets(g, decomposition.position,
-                                   decomposition.order[sub.position])
-        if len(later) >= _MIN_RESPLIT_CANDIDATES:
-            marked.append(sub.position)
-    return marked
-
-
-def _plan_splits(
-    g: Graph, decomposition: Decomposition, positions: tuple[int, ...],
-    n_jobs: int, start_index: int,
-) -> list[SplitTask]:
-    """Cut each marked subproblem's root branches into balanced parts.
-
-    Per-branch cost is ``|C_w| + 1`` (the branch's own candidate count):
-    the same linear proxy as the ``candidates`` cost model, cheap enough
-    to compute for every branch of every outlier.  Branches pack LPT into
-    up to ``n_jobs * STEAL_CHUNK_FACTOR`` parts per subproblem, and the
-    resulting tasks are ordered largest-first — they go to the *front* of
-    the dispatch queue, ahead of the ordinary chunks.
-    """
-    position, order, adj = decomposition.position, decomposition.order, g.adj
-    splits: list[SplitTask] = []
-    next_index = start_index
-    for p in positions:
-        v = order[p]
-        later, _ = subproblem_sets(g, position, v)
-        cands = sorted(later, key=lambda u: position[u])
-        branch_subs = [
-            Subproblem(
-                position=i, vertex=w,
-                cost=float(sum(1 for u in later & adj[w]
-                               if position[u] > position[w]) + 1),
-            )
-            for i, w in enumerate(cands)
-        ]
-        parts = min(len(cands), max(2, n_jobs * STEAL_CHUNK_FACTOR))
-        packed = sorted(make_chunks(branch_subs, parts, strategy="greedy"),
-                        key=lambda c: (-c.cost, c.index))
-        for part, chunk in enumerate(packed):
-            splits.append(SplitTask(
-                index=next_index, position=p, branches=chunk.positions,
-                part=part, parts=len(packed), cost=chunk.cost,
-            ))
-            next_index += 1
-    splits.sort(key=lambda t: (-t.cost, t.index))
-    return splits
-
-
-def plan_steal_schedule(
-    g: Graph, decomposition: Decomposition, n_jobs: int,
-    chunks_per_worker: int, *, strategy: str = DEFAULT_CHUNK_STRATEGY,
-    resplit_ok: bool = True,
-) -> tuple[list[Chunk], list[SplitTask], int]:
-    """The full steal-mode schedule for one decomposition.
-
-    Marks cost outliers (when ``resplit_ok`` — the request must be routed
-    to the in-place X-aware tier), packs the rest into small chunks in
-    dispatch order, and cuts the marked subproblems into split tasks.
-    Returns ``(chunks, splits, requested)`` where ``requested`` is the
-    chunk count the packing aimed for (the :func:`balance_ratio`
-    denominator).  Pure function of its inputs, so the service registry
-    caches the result per (graph, knobs) pair.
-    """
-    resplit = mark_resplit(g, decomposition) if resplit_ok else []
-    plan = plan_steal(
-        decomposition.subproblems, n_jobs, chunks_per_worker,
-        strategy=strategy, resplit=resplit,
-    )
-    splits = _plan_splits(g, decomposition, plan.resplit, n_jobs,
-                          len(plan.chunks))
-    requested = steal_chunk_count(
-        len(decomposition.subproblems) - len(plan.resplit),
-        n_jobs, chunks_per_worker,
-    )
-    return plan.chunks, splits, requested
-
-
-def _solve_split(
-    graph_state: GraphState, config: RequestConfig, task: SplitTask
-) -> ChunkResult:
-    """Run one part of a re-split subproblem; telemetry mirrors a chunk.
-
-    Each branch is :func:`solve_branch` with stem ``[v, w]``: candidates
-    are the later co-neighbours of ``w`` within ``later(v)``, the
-    exclusion set everything adjacent to ``w`` that an earlier branch or
-    an earlier subproblem owns.  No pivot is applied *at* the re-split
-    level — every candidate gets a branch, so parts are independently
-    computable — which trades a little duplicated fan-out (bounded: only
-    outliers are split) for per-branch parallelism.
-    """
-    worker = multiprocessing.current_process().name
-    started = time.monotonic()
-    cpu_start = time.process_time()
-    counters = Counters()
-    g = graph_state.graph
-    position, order = graph_state.position, graph_state.order
-    v = order[task.position]
-    later, earlier = subproblem_sets(g, position, v)
-    cands = sorted(later, key=lambda u: position[u])
-    bit_graph = graph_state.bit_graph(config.options) \
-        if config.options.get("backend") == "bitset" else None
-    from repro.api import get_algorithm  # deferred: api imports us lazily
-
-    phase_kwargs = get_algorithm(config.algorithm).subproblem_phase
-    adj = g.adj
-    cliques: list[tuple[int, ...]] = []
-    for i in task.branches:
-        w = cands[i]
-        pw = position[w]
-        reach = later & adj[w]
-        sub_c = {u for u in reach if position[u] > pw}
-        sub_x = (earlier & adj[w]) | {u for u in reach if position[u] < pw}
-        branch_cliques, branch_counters = solve_branch(
-            g, [v, w], sub_c, sub_x, phase_kwargs, config.options, bit_graph,
-        )
-        counters.merge(branch_counters)
-        cliques.extend(branch_cliques)
-    cliques.sort()
-    payload = count_payload(cliques) if config.mode == "count" else cliques
-    cpu_seconds = time.process_time() - cpu_start
-    finished = time.monotonic()
-    registry = MetricsRegistry()
-    registry.histogram("worker_chunk_cpu_seconds",
-                       labels={"worker": worker}).observe(cpu_seconds)
-    registry.counter("worker_chunks_total",
-                     labels={"worker": worker}).inc()
-    registry.fold_counters(counters)
-    span = None
-    if config.trace is not None:
-        span = span_record(
-            "split", context=config.trace,
-            span_id=f"split{task.position}.{task.part}",
-            start=started, seconds=finished - started,
-            worker_id=worker, chunk_id=task.index, position=task.position,
-            part=task.part, parts=task.parts, branches=len(task.branches),
-            cpu_seconds=cpu_seconds, counters=counters.as_dict(),
-        )
-    return ChunkResult(
-        chunk_index=task.index,
-        items=[(task.position, payload)],
-        counters=counters.as_dict(),
-        cpu_seconds=cpu_seconds,
-        worker=worker,
-        started=started,
-        finished=finished,
-        metrics=registry.as_dict(),
-        span=span,
-    )
-
-
-def _run_split(task: tuple[str, RequestConfig, SplitTask]) -> ChunkResult:
-    """Pool task: resolve the cached graph state and solve one split part."""
-    key, config, split = task
-    graph_state = _WORKER_GRAPHS.get(key)
-    if graph_state is None:  # pragma: no cover - defensive
-        raise RuntimeError(f"worker never received graph state {key!r}")
-    return _solve_split(graph_state, config, split)
-
-
-class _SplitMerger:
-    """Parent-side accumulator folding split parts back into one item.
-
-    The aggregators key strictly on subproblem position —
-    ``CollectAggregator`` *replaces* per position and ``received`` counts
-    one per item — so partial payloads must never reach them as items.
-    Earlier parts ship their telemetry with ``items=[]``; the merged
-    payload rides the final part's :class:`ChunkResult`.  Aggregator
-    semantics (and the completeness audit) are untouched by construction.
-    """
-
-    def __init__(self, splits: list[SplitTask], mode: str) -> None:
-        self._mode = mode
-        self._tasks = {t.index: t for t in splits}
-        self._payloads: dict[int, list[Payload]] = {}
-        self._remaining = {t.position: t.parts for t in splits}
-
-    def owns(self, index: int) -> bool:
-        return index in self._tasks
-
-    def fold(self, result: ChunkResult) -> ChunkResult:
-        task = self._tasks[result.chunk_index]
-        parts = self._payloads.setdefault(task.position, [])
-        parts.append(result.items[0][1])
-        self._remaining[task.position] -= 1
-        if self._remaining[task.position]:
-            result.items = []
-        else:
-            result.items = [(task.position, self._merge(parts))]
-        return result
-
-    def _merge(self, payloads: list[Any]) -> Payload:
-        if self._mode == "count":
-            return (sum(p[0] for p in payloads),
-                    max(p[1] for p in payloads),
-                    sum(p[2] for p in payloads))
-        merged: list[tuple[int, ...]] = []
-        for p in payloads:
-            merged.extend(p)
-        merged.sort()
-        return merged
-
-
-@dataclass
-class SubmitReport:
-    """What one :meth:`WorkerPool.submit` did beyond the results.
-
-    ``steals`` counts tasks dispatched dynamically — pulled by a worker
-    that finished its share while other tasks were still queued (always 0
-    when the task count fits the initial window).  ``steals_by_worker``
-    attributes them to the worker that returned each stolen task.
-    """
-
-    steals: int = 0
-    steals_by_worker: dict[str, int] = field(default_factory=dict)
-    resplit_subproblems: int = 0
-    resplit_tasks: int = 0
-    #: worker CPU of every task in dispatch order, split parts counted
-    #: individually (see :attr:`ParallelStats.task_cpu_seconds`).
-    task_cpu_seconds: list[float] = field(default_factory=list)
-
-
-def record_steal_metrics(registry: MetricsRegistry,
-                         report: SubmitReport) -> None:
-    """Fold a submit's steal counts into a metrics registry."""
-    for worker, n in sorted(report.steals_by_worker.items()):
-        registry.counter("worker_steals_total",
-                         labels={"worker": worker}).inc(n)
 
 
 def _pool_context() -> tuple[BaseContext, str]:
@@ -758,9 +470,8 @@ class WorkerPool:
         accept: Callable[[ChunkResult], None],
         *,
         tracer: Tracer | None = None,
-        splits: list[SplitTask] | None = None,
-    ) -> SubmitReport:
-        """Solve ``chunks`` (and ``splits``) against ``graph_state``.
+    ) -> None:
+        """Solve ``chunks`` against ``graph_state``.
 
         ``accept`` is called with each :class:`ChunkResult` in arrival
         order (an :class:`repro.parallel.aggregate.Aggregator` re-orders).
@@ -768,15 +479,10 @@ class WorkerPool:
         state is shipped only the first time a key is seen, so repeat
         submits with the same key are pure compute.
 
-        Execution is a dynamic shared queue, not a one-shot fan-out: at
-        most one task per worker is in flight, and each completion
-        dispatches the next task off the front of the list.  Task order
-        is therefore the schedule — steal mode passes chunks pre-sorted
-        largest-first with ``splits`` (parts of re-split outliers) ahead
-        of them, so the expensive work starts immediately and the small
-        chunks level the tail.  Every task dispatched beyond the initial
-        window counts as a *steal*, attributed to the worker that
-        returns it; the counts come back in the :class:`SubmitReport`.
+        Every chunk is sent at once and the results are drained as they
+        arrive (see :meth:`_dispatch`).  A worker that dies mid-chunk
+        surfaces as :class:`WorkerPoolError`; the pool then drops its
+        processes and the next submit spins up fresh ones.
 
         With a ``tracer`` the submit contributes a ``ship`` span (always
         present so traces have one shape; ``shipped`` records whether a
@@ -786,34 +492,20 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
-        splits = list(splits or [])
-        report = SubmitReport(
-            resplit_subproblems=len({t.position for t in splits}),
-            resplit_tasks=len(splits),
-        )
-        if not chunks and not splits:
-            return report
-        merger = _SplitMerger(splits, config.mode)
-        n_tasks = len(chunks) + len(splits)
+        if not chunks:
+            return
         if self.n_jobs == 1 \
-                or (self._pool is None and not self.warm and n_tasks == 1):
+                or (self._pool is None and not self.warm and len(chunks) == 1):
             # In-process path: no subprocesses, no shipping, same pipeline.
             with maybe_span(tracer, "ship", transport="inline",
                             shipped=False):
                 pass
             with maybe_span(tracer, "execute", transport="inline",
-                            n_chunks=len(chunks), n_splits=len(splits),
-                            steal=config.steal):
-                for split in splits:
-                    result = _solve_split(graph_state, config, split)
-                    report.task_cpu_seconds.append(result.cpu_seconds)
-                    accept(merger.fold(result))
+                            n_chunks=len(chunks)):
                 for chunk in chunks:
-                    result = _solve_chunk(graph_state, config, chunk)
-                    report.task_cpu_seconds.append(result.cpu_seconds)
-                    accept(result)
-            return report
-        pool = self._ensure_pool(n_tasks)
+                    accept(_solve_chunk(graph_state, config, chunk))
+            return
+        pool = self._ensure_pool(len(chunks))
         ship_needed = key not in self._states
         with maybe_span(tracer, "ship", transport=self.start_method,
                         shipped=ship_needed, workers=self._workers):
@@ -848,78 +540,68 @@ class WorkerPool:
                 with self._lock:
                     self._states[key] = graph_state
                     self.graph_ships += 1
-        tasks: list[tuple[str, Chunk | SplitTask]] = \
-            [("split", t) for t in splits] + [("chunk", c) for c in chunks]
         with maybe_span(tracer, "execute", transport=self.start_method,
-                        n_chunks=len(chunks), n_splits=len(splits),
-                        steal=config.steal) as execute_span:
-            self._dispatch(pool, key, config, tasks, merger, accept, report)
-            if tracer is not None:
-                execute_span.attrs.update(steals=report.steals)
-        return report
+                        n_chunks=len(chunks)):
+            self._dispatch(pool, key, config, chunks, accept)
 
     def _dispatch(self, pool: MpPool, key: str, config: RequestConfig,
-                  tasks: list[tuple[str, Chunk | SplitTask]],
-                  merger: _SplitMerger,
-                  accept: Callable[[ChunkResult], None],
-                  report: SubmitReport) -> None:
-        """Shared dynamic queue: one task per worker in flight, pull on
-        completion.
+                  chunks: list[Chunk],
+                  accept: Callable[[ChunkResult], None]) -> None:
+        """Send every chunk, then drain the results as they arrive.
 
         ``apply_async`` callbacks (which run on the pool's result-handler
-        thread) feed a local queue the submitting thread drains; each
-        arrival dispatches the next task in list order.  Tasks sent after
-        the initial window are marked, and on return counted as steals of
-        the worker that executed them.
+        thread) feed a local queue the submitting thread drains.  The wait
+        is bounded by :data:`_LIVENESS_TICK`: whenever a tick passes with
+        no result, the workers that were alive at dispatch are checked,
+        and a dead one — its chunk is lost, the result will never come —
+        raises :class:`WorkerPoolError` after the pool is discarded.
         """
         results: queue.SimpleQueue[tuple[str, Any]] = queue.SimpleQueue()
-
-        def _send(i: int, dynamic: bool) -> None:
-            kind, obj = tasks[i]
-            fn: Callable[[Any], ChunkResult] = \
-                _run_split if kind == "split" else _run_chunk
-            if dynamic:
-                dynamic_indices.add(obj.index)
+        # multiprocessing.Pool keeps its worker processes in ``_pool``;
+        # there is no public accessor for their liveness.
+        workers = [p for p in getattr(pool, "_pool", [])
+                   if p.exitcode is None]
+        for chunk in chunks:
             pool.apply_async(
-                fn, ((key, config, obj),),
+                _run_chunk, ((key, config, chunk),),
                 callback=lambda r: results.put(("ok", r)),
                 error_callback=lambda e: results.put(("err", e)),
             )
-
-        dynamic_indices: set[int] = set()
-        cpu_by_index: dict[int, float] = {}
-        window = min(self._workers, len(tasks))
-        for i in range(window):
-            _send(i, False)
-        next_task = window
-        completed = 0
-        while completed < len(tasks):
-            status, payload = results.get()
+        pending = len(chunks)
+        while pending:
+            try:
+                status, payload = results.get(timeout=_LIVENESS_TICK)
+            except queue.Empty:
+                dead = [p for p in workers if p.exitcode is not None]
+                if dead:
+                    self._discard_pool()
+                    raise WorkerPoolError(
+                        f"worker {dead[0].name} exited with code "
+                        f"{dead[0].exitcode} while {pending} chunk(s) were "
+                        "outstanding"
+                    ) from None
+                continue
             if status == "err":
                 raise payload
-            completed += 1
-            if next_task < len(tasks):
-                _send(next_task, True)
-                next_task += 1
-            result = payload
-            if result.chunk_index in dynamic_indices:
-                report.steals += 1
-                report.steals_by_worker[result.worker] = \
-                    report.steals_by_worker.get(result.worker, 0) + 1
-            cpu_by_index[result.chunk_index] = result.cpu_seconds
-            if merger.owns(result.chunk_index):
-                result = merger.fold(result)
-            accept(result)
-        report.task_cpu_seconds = [cpu_by_index[obj.index]
-                                   for _, obj in tasks]
+            pending -= 1
+            accept(payload)
 
-    def close(self) -> None:
-        """Shut the workers down; idempotent, pool unusable afterwards."""
+    def _discard_pool(self) -> None:
+        """Terminate the worker processes but keep the pool usable.
+
+        ``_states`` survives, so the next submit spins up fresh workers
+        that inherit every graph shipped so far.
+        """
         with self._lock:
             if self._pool is not None:
                 self._pool.terminate()
                 self._pool.join()
                 self._pool = None
+
+    def close(self) -> None:
+        """Shut the workers down; idempotent, pool unusable afterwards."""
+        with self._lock:
+            self._discard_pool()
             self._closed = True
 
     def __enter__(self) -> "WorkerPool":
@@ -972,11 +654,7 @@ def run_parallel(
     *,
     algorithm: str,
     n_jobs: int,
-    chunk_strategy: str = DEFAULT_CHUNK_STRATEGY,
-    cost_model: str = DEFAULT_COST_MODEL,
-    chunks_per_worker: int = 1,
     x_aware: bool = True,
-    steal: bool = False,
     stats: ParallelStats | None = None,
     trace: Tracer | None = None,
     **options: Any,
@@ -984,11 +662,11 @@ def run_parallel(
     """Enumerate ``g``'s maximal cliques across a one-shot worker pool.
 
     The root level is partitioned per-vertex in degeneracy order, packed
-    into ``n_jobs * chunks_per_worker`` cost-balanced chunks, and solved by
-    ``algorithm`` (any registered name, any backend) on induced
-    subproblems.  Results stream into ``aggregator`` with a deterministic
-    merge; the returned :class:`Counters` sum the per-worker counters
-    (``emitted`` equals the true clique count).
+    LPT into ``n_jobs`` cost-balanced chunks, and solved by ``algorithm``
+    (any registered name, any backend) on induced subproblems.  Results
+    stream into ``aggregator`` with a deterministic merge; the returned
+    :class:`Counters` sum the per-worker counters (``emitted`` equals the
+    true clique count).
 
     This is a thin wrapper over :class:`WorkerPool` — one pool per call,
     torn down before returning.  Long-running callers that issue many
@@ -1003,20 +681,10 @@ def run_parallel(
     kept as an escape hatch and as the baseline the work-ratio regression
     tests compare against.
 
-    ``steal=True`` switches the scheduler to work-stealing mode: many
-    small chunks are packed (``STEAL_CHUNK_FACTOR`` times the static
-    count) and dispatched dynamically largest-first, and cost-model
-    outliers are re-split at their own root level so a single hub
-    subproblem no longer sets the critical path.  The enumerated cliques
-    and their fingerprint are identical to the static schedule by
-    construction (the re-split is the same X-aware decomposition one
-    level down — disjoint, complete, deterministic).
-
     ``trace=`` takes an :class:`repro.obs.trace.Tracer`: the run
     contributes ``decompose``/``pack``/``ship``/``execute`` spans plus
-    one grafted ``chunk`` span per chunk (and a ``split`` span per
-    re-split part), and the folded paper counters land on the trace root
-    as the ``counters`` attribute.
+    one grafted ``chunk`` span per chunk, and the folded paper counters
+    land on the trace root as the ``counters`` attribute.
     """
     n_jobs = validate_n_jobs(n_jobs)
     if trace is not None and not isinstance(trace, Tracer):
@@ -1027,48 +695,19 @@ def run_parallel(
         raise InvalidParameterError(
             f"x_aware must be a bool, got {x_aware!r}"
         )
-    if not isinstance(steal, bool):
-        raise InvalidParameterError(
-            f"steal must be a bool, got {steal!r}"
-        )
     if "initial_x" in options:
         raise InvalidParameterError(
             "initial_x cannot be combined with the parallel path; the "
             "decomposition seeds it per subproblem"
         )
-    if isinstance(chunks_per_worker, bool) or not isinstance(chunks_per_worker, int) \
-            or chunks_per_worker < 1:
-        raise InvalidParameterError(
-            f"chunks_per_worker must be a positive integer, got {chunks_per_worker!r}"
-        )
     validate_parallel_options(g, algorithm, options)
 
-    with maybe_span(trace, "decompose", cost_model=cost_model):
-        decomposition = decompose(g, cost_model=cost_model)
-    with maybe_span(trace, "pack", strategy=chunk_strategy,
-                    steal=steal) as pack_span:
-        splits: list[SplitTask] = []
-        if steal:
-            resplit_ok = x_aware and uses_in_place_phase(algorithm, options)
-            chunks, splits, requested = plan_steal_schedule(
-                g, decomposition, n_jobs, chunks_per_worker,
-                strategy=chunk_strategy, resplit_ok=resplit_ok,
-            )
-        else:
-            chunks = make_chunks(
-                decomposition.subproblems,
-                n_jobs * chunks_per_worker,
-                strategy=chunk_strategy,
-            )
-            requested = min(n_jobs * chunks_per_worker,
-                            len(decomposition.subproblems))
+    with maybe_span(trace, "decompose"):
+        decomposition = decompose(g)
+    with maybe_span(trace, "pack") as pack_span:
+        chunks = make_chunks(decomposition.subproblems, n_jobs)
         if trace is not None:
-            pack_span.attrs.update(chunk_summary(chunks, requested))
-            if steal:
-                pack_span.attrs.update(
-                    resplit_subproblems=len({t.position for t in splits}),
-                    split_tasks=len(splits),
-                )
+            pack_span.attrs.update(chunk_summary(chunks))
 
     graph_state = GraphState(
         graph=g,
@@ -1080,7 +719,6 @@ def run_parallel(
         options=options,
         mode=aggregator.mode,
         x_aware=x_aware,
-        steal=steal,
         trace=trace.current if trace is not None else None,
     )
 
@@ -1088,11 +726,10 @@ def run_parallel(
     key = "oneshot"
     pool = WorkerPool(n_jobs, preload=(key, graph_state))
     try:
-        report = pool.submit(key, graph_state, config, chunks,
-                             aggregator.accept, tracer=trace, splits=splits)
+        pool.submit(key, graph_state, config, chunks, aggregator.accept,
+                    tracer=trace)
     finally:
         pool.close()
-    record_steal_metrics(aggregator.metrics, report)
 
     if trace is not None:
         for record in aggregator.spans:
@@ -1103,19 +740,12 @@ def run_parallel(
         stats.n_jobs = n_jobs
         stats.n_subproblems = len(decomposition.subproblems)
         stats.n_chunks = len(chunks)
-        stats.chunk_strategy = chunk_strategy
-        stats.cost_model = cost_model
         stats.x_aware = x_aware
-        stats.steal = steal
-        stats.steals = report.steals
-        stats.resplit_subproblems = report.resplit_subproblems
-        stats.resplit_tasks = report.resplit_tasks
         stats.start_method = pool.start_method
         stats.decompose_seconds = decomposition.seconds
-        stats.balance_ratio = balance_ratio(chunks, requested)
+        stats.balance_ratio = balance_ratio(chunks)
         stats.chunk_costs = [c.cost for c in chunks]
         stats.chunk_sizes = [len(c.positions) for c in chunks]
         stats.chunk_cpu_seconds = dict(aggregator.chunk_cpu_seconds)
-        stats.task_cpu_seconds = report.task_cpu_seconds
         stats.timeline = list(aggregator.timeline)
     return aggregator.counters

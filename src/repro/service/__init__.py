@@ -1,7 +1,7 @@
 """Warm-pool enumeration service: reuse every prologue across requests.
 
 The one-shot API (``maximal_cliques(..., n_jobs=N)``) pays the full
-prologue on every call — degeneracy decomposition, cost model, chunk
+prologue on every call — degeneracy decomposition, cost estimates, chunk
 packing, bitmask view construction, worker-pool spin-up.  This package
 amortises all of it for long-running callers:
 

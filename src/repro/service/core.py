@@ -4,7 +4,7 @@
 API: it owns a :class:`repro.parallel.pool.WorkerPool` that outlives any
 single request and a :class:`repro.service.registry.GraphRegistry` that
 caches every per-graph prologue artifact (degeneracy decomposition, cost
-model, chunk packing, degeneracy-packed bitmask view).  The first request
+estimates, chunk packing, degeneracy-packed bitmask view).  The first request
 against a graph pays the prologue and ships the graph state to the
 workers once; every later request — any registered algorithm, backend or
 bit order — is pure enumeration compute.
@@ -26,16 +26,14 @@ from repro.graph.generators import load_dataset
 from repro.graph.io import load_graph
 from repro.obs import MetricsRegistry, Tracer, maybe_span, render_text
 from repro.parallel.aggregate import CollectAggregator, CountAggregator
-from repro.parallel.decompose import DEFAULT_COST_MODEL, uses_in_place_phase
 from repro.parallel.pool import (
     ParallelStats,
     RequestConfig,
     WorkerPool,
-    record_steal_metrics,
     validate_n_jobs,
     validate_parallel_options,
 )
-from repro.parallel.scheduler import DEFAULT_CHUNK_STRATEGY, chunk_summary
+from repro.parallel.scheduler import chunk_summary
 from repro.service.registry import GraphRegistry
 from repro.verify import clique_fingerprint
 
@@ -57,25 +55,8 @@ class CliqueService:
     so switching algorithms between requests stays warm.
     """
 
-    def __init__(
-        self,
-        *,
-        n_jobs: int = 1,
-        chunk_strategy: str = DEFAULT_CHUNK_STRATEGY,
-        cost_model: str = DEFAULT_COST_MODEL,
-        chunks_per_worker: int = 1,
-    ) -> None:
+    def __init__(self, *, n_jobs: int = 1) -> None:
         self.n_jobs = validate_n_jobs(n_jobs)
-        if isinstance(chunks_per_worker, bool) \
-                or not isinstance(chunks_per_worker, int) \
-                or chunks_per_worker < 1:
-            raise InvalidParameterError(
-                f"chunks_per_worker must be a positive integer, "
-                f"got {chunks_per_worker!r}"
-            )
-        self.chunk_strategy = chunk_strategy
-        self.cost_model = cost_model
-        self.chunks_per_worker = chunks_per_worker
         self.registry = GraphRegistry()
         self._pool = WorkerPool(self.n_jobs, warm=True)
         self._lock = threading.RLock()
@@ -126,7 +107,7 @@ class CliqueService:
     # Requests
     # ------------------------------------------------------------------
     def count(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-              x_aware: bool = True, steal: bool = False, trace: bool = False,
+              x_aware: bool = True, trace: bool = False,
               **options) -> dict:
         """Count the maximal cliques of a registered graph.
 
@@ -142,14 +123,12 @@ class CliqueService:
             result["max_clique_size"] = aggregator.max_size
 
         result, tracer = self._execute("count", graph, aggregator, algorithm,
-                                       x_aware, steal, trace, options,
-                                       finalize)
+                                       x_aware, trace, options, finalize)
         return self._attach_trace(result, tracer)
 
     def enumerate(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
                   limit: int | None = None, x_aware: bool = True,
-                  steal: bool = False, trace: bool = False,
-                  **options) -> dict:
+                  trace: bool = False, **options) -> dict:
         """Enumerate the maximal cliques of a registered graph.
 
         ``limit`` truncates the returned list (the enumeration itself is
@@ -173,13 +152,13 @@ class CliqueService:
             result["truncated"] = len(shown) < len(cliques)
 
         result, tracer = self._execute("enumerate", graph, aggregator,
-                                       algorithm, x_aware, steal, trace,
+                                       algorithm, x_aware, trace,
                                        options, finalize)
         return self._attach_trace(result, tracer)
 
     def fingerprint(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-                    x_aware: bool = True, steal: bool = False,
-                    trace: bool = False, **options) -> dict:
+                    x_aware: bool = True, trace: bool = False,
+                    **options) -> dict:
         """SHA256 fingerprint of the canonical clique list.
 
         Byte-identical to ``clique_fingerprint(maximal_cliques(g, ...))``
@@ -195,7 +174,7 @@ class CliqueService:
             result["sha256"] = sha256
 
         result, tracer = self._execute("fingerprint", graph, aggregator,
-                                       algorithm, x_aware, steal, trace,
+                                       algorithm, x_aware, trace,
                                        options, finalize)
         return self._attach_trace(result, tracer)
 
@@ -208,7 +187,7 @@ class CliqueService:
         return result
 
     def _execute(self, op: str, graph: str, aggregator, algorithm: str,
-                 x_aware, steal, trace, options: dict,
+                 x_aware, trace, options: dict,
                  finalize) -> tuple[dict, Tracer | None]:
         """Run one request end to end under the service lock.
 
@@ -225,10 +204,6 @@ class CliqueService:
             if not isinstance(x_aware, bool):
                 raise InvalidParameterError(
                     f"x_aware must be a bool, got {x_aware!r}"
-                )
-            if not isinstance(steal, bool):
-                raise InvalidParameterError(
-                    f"steal must be a bool, got {steal!r}"
                 )
             if not isinstance(trace, bool):
                 raise InvalidParameterError(
@@ -252,39 +227,21 @@ class CliqueService:
             decomposes = self.registry.stats.decompose_calls
 
             start = time.perf_counter()
-            with maybe_span(tracer, "decompose", cost_model=self.cost_model):
-                decomposition = self.registry.decomposition(
-                    entry, self.cost_model)
+            with maybe_span(tracer, "decompose"):
+                decomposition = self.registry.decomposition(entry)
             decompose_seconds = time.perf_counter() - start
-            with maybe_span(tracer, "pack", strategy=self.chunk_strategy,
-                            steal=steal) as pack_span:
-                splits = []
-                if steal:
-                    resplit_ok = x_aware and uses_in_place_phase(
-                        algorithm, options)
-                    chunks, splits, requested = self.registry.steal_plan(
-                        entry, self.cost_model, self.chunk_strategy,
-                        self.n_jobs, self.chunks_per_worker, resplit_ok,
-                    )
-                else:
-                    chunks = self.registry.chunks(
-                        entry, self.cost_model, self.chunk_strategy,
-                        self.n_jobs * self.chunks_per_worker,
-                    )
-                    requested = min(self.n_jobs * self.chunks_per_worker,
-                                    len(decomposition.subproblems))
+            with maybe_span(tracer, "pack") as pack_span:
+                chunks = self.registry.chunks(entry, self.n_jobs)
                 if tracer is not None:
-                    pack_span.attrs.update(chunk_summary(chunks, requested))
+                    pack_span.attrs.update(chunk_summary(chunks))
             config = RequestConfig(
                 algorithm=algorithm, options=options,
-                mode=aggregator.mode, x_aware=x_aware, steal=steal,
+                mode=aggregator.mode, x_aware=x_aware,
                 trace=tracer.current if tracer is not None else None,
             )
             aggregator.start(len(decomposition.subproblems))
-            report = self._pool.submit(entry.fingerprint, entry.graph_state,
-                                       config, chunks, aggregator.accept,
-                                       tracer=tracer, splits=splits)
-            record_steal_metrics(aggregator.metrics, report)
+            self._pool.submit(entry.fingerprint, entry.graph_state, config,
+                              chunks, aggregator.accept, tracer=tracer)
 
             warm = (self._pool.spinups == spinups
                     and self._pool.graph_ships == ships
@@ -310,8 +267,8 @@ class CliqueService:
 
             # Registry-side accounting.  The aggregator's registry already
             # carries each worker's fold (chunk CPU histograms, mce_*
-            # branch counters, steal counts), so the merge — not a
-            # re-fold — keeps the totals single-counted.
+            # branch counters), so the merge — not a re-fold — keeps the
+            # totals single-counted.
             self.metrics.counter("service_requests_total",
                                  labels={"op": op}).inc()
             if warm:
@@ -330,26 +287,15 @@ class CliqueService:
                     n_jobs=self.n_jobs,
                     n_subproblems=len(decomposition.subproblems),
                     n_chunks=len(chunks),
-                    chunk_strategy=self.chunk_strategy,
-                    cost_model=self.cost_model,
                     start_method=self._pool.start_method,
                     x_aware=x_aware,
-                    steal=steal,
-                    steals=report.steals,
-                    resplit_subproblems=report.resplit_subproblems,
-                    resplit_tasks=report.resplit_tasks,
                     decompose_seconds=decompose_seconds,
                     chunk_cpu_seconds=dict(aggregator.chunk_cpu_seconds),
-                    task_cpu_seconds=report.task_cpu_seconds,
                     timeline=list(aggregator.timeline),
                 )
                 result["timeline"] = [e.as_dict() for e in stats.timeline]
                 result["parallel"] = {
                     "n_chunks": stats.n_chunks,
-                    "steal": stats.steal,
-                    "steals": stats.steals,
-                    "resplit_subproblems": stats.resplit_subproblems,
-                    "resplit_tasks": stats.resplit_tasks,
                     "decompose_seconds": stats.decompose_seconds,
                     "total_cpu_seconds": stats.total_cpu_seconds,
                     "critical_path_seconds": stats.critical_path_seconds,
@@ -380,15 +326,11 @@ class CliqueService:
                 "decompose_cache_hits": reg.decompose_cache_hits,
                 "chunk_builds": reg.chunk_builds,
                 "chunk_cache_hits": reg.chunk_cache_hits,
-                "steal_plan_builds": reg.steal_plan_builds,
-                "steal_plan_cache_hits": reg.steal_plan_cache_hits,
                 "pool_spinups": self._pool.spinups,
                 "graph_ships": self._pool.graph_ships,
                 "pool_live": self._pool.is_live,
                 "start_method": self._pool.start_method,
                 "n_jobs": self.n_jobs,
-                "chunk_strategy": self.chunk_strategy,
-                "cost_model": self.cost_model,
             }
 
     def metrics_snapshot(self) -> dict:

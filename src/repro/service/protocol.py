@@ -19,9 +19,8 @@ in the response, for client-side correlation):
 * ``{"op": "graphs"}`` — list registered graphs.
 * ``{"op": "count", "graph": NAME_OR_FINGERPRINT, ...}`` — optional
   ``algorithm``, ``backend``, ``bit_order``, ``et_threshold``,
-  ``graph_reduction``, ``x_aware``, ``steal`` (``true`` selects the
-  work-stealing schedule), ``trace`` (``true`` adds the span tree and
-  per-chunk worker timeline to the response).
+  ``graph_reduction``, ``x_aware``, ``trace`` (``true`` adds the span
+  tree and per-chunk worker timeline to the response).
 * ``{"op": "enumerate", "graph": ..., "limit": N, ...}`` — same knobs.
 * ``{"op": "fingerprint", "graph": ..., ...}`` — SHA256 of the canonical
   clique list (matches :func:`repro.verify.clique_fingerprint` on the
@@ -68,8 +67,7 @@ def _exact_int(value: object, what: str) -> int:
 
 def _request_options(request: dict[str, Any], *extra: str) -> dict[str, Any]:
     """Split a request into algorithm options, rejecting unknown fields."""
-    allowed = _COMMON_FIELDS | {"graph", "algorithm", "x_aware", "steal",
-                                "trace"} \
+    allowed = _COMMON_FIELDS | {"graph", "algorithm", "x_aware", "trace"} \
         | set(OPTION_FIELDS) | set(extra)
     unknown = sorted(set(request) - allowed)
     if unknown:
@@ -104,11 +102,6 @@ def _kwargs(request: dict[str, Any]) -> dict[str, Any]:
         if not isinstance(x_aware, bool):
             raise ReproError(f"x_aware must be a bool, got {x_aware!r}")
         kwargs["x_aware"] = x_aware
-    if "steal" in request:
-        steal = request["steal"]
-        if not isinstance(steal, bool):
-            raise ReproError(f"steal must be a bool, got {steal!r}")
-        kwargs["steal"] = steal
     if "trace" in request:
         trace = request["trace"]
         if not isinstance(trace, bool):

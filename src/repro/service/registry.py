@@ -1,12 +1,12 @@
 """Per-graph artifact cache: fingerprint-keyed registry of prepared graphs.
 
 Every enumeration request pays a prologue before the first branch runs:
-the degeneracy decomposition (peel order + per-subproblem cost model),
+the degeneracy decomposition (peel order + per-subproblem cost estimate),
 chunk packing, and — on the bitset backend — the whole-graph
 degeneracy-packed :class:`BitGraph`.  For a long-running service those
-artifacts are a pure function of the graph (and a couple of scheduling
-knobs), so the registry computes each of them once per registered graph
-and replays them for every later request.
+artifacts are a pure function of the graph (and the pool size), so the
+registry computes each of them once per registered graph and replays them
+for every later request.
 
 Graphs are keyed by a *content fingerprint* — the SHA256 of the canonical
 edge list, the same construction :func:`repro.verify.clique_fingerprint`
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.coreness import core_decomposition
-from repro.parallel.decompose import COST_MODELS, Decomposition, decompose
-from repro.parallel.pool import GraphState, SplitTask, plan_steal_schedule
+from repro.parallel.decompose import Decomposition, decompose
+from repro.parallel.pool import GraphState
 from repro.parallel.scheduler import Chunk, make_chunks
 
 
@@ -53,8 +53,6 @@ class RegistryStats:
     decompose_cache_hits: int = 0
     chunk_builds: int = 0
     chunk_cache_hits: int = 0
-    steal_plan_builds: int = 0
-    steal_plan_cache_hits: int = 0
 
 
 @dataclass
@@ -64,9 +62,8 @@ class GraphEntry:
     ``graph_state`` is the worker-shippable payload (adjacency + peel
     order + bitmask views); the degeneracy-packed :class:`BitGraph` is
     prebuilt at registration so even the first bitset request skips the
-    packing step.  Decompositions are cached per cost model and chunk
-    lists per (cost model, strategy, chunk count) — both tiny keys over
-    expensive values.
+    packing step.  The decomposition is cached once and chunk lists per
+    chunk count — a tiny key over an expensive value.
     """
 
     name: str
@@ -78,10 +75,8 @@ class GraphEntry:
     #: chunk positions and worker-side ``graph_state.order`` cannot drift.
     core: object = None
     registered_at: float = field(default_factory=time.time)
-    _decompositions: dict[str, Decomposition] = field(default_factory=dict)
-    _chunks: dict[tuple, list[Chunk]] = field(default_factory=dict)
-    _steal_plans: dict[tuple, tuple[list[Chunk], list[SplitTask], int]] = \
-        field(default_factory=dict)
+    _decomposition: Decomposition | None = None
+    _chunks: dict[int, list[Chunk]] = field(default_factory=dict)
 
     def info(self) -> dict:
         """JSON-ready summary of this entry."""
@@ -90,7 +85,6 @@ class GraphEntry:
             "graph": self.fingerprint,
             "n": self.graph.n,
             "m": self.graph.m,
-            "cached_cost_models": sorted(self._decompositions),
             "cached_bit_orders": sorted(
                 str(k) for k in self.graph_state.bit_graphs
             ),
@@ -102,8 +96,8 @@ class GraphRegistry:
 
     The registry is shared by every connection thread of the TCP server,
     so all map and counter access happens under ``self._lock``.  It is an
-    ``RLock`` because the cached builders nest (``chunks`` and
-    ``steal_plan`` call ``decomposition`` while already holding it).
+    ``RLock`` because the cached builders nest (``chunks`` calls
+    ``decomposition`` while already holding it).
     """
 
     def __init__(self) -> None:
@@ -184,74 +178,27 @@ class GraphRegistry:
             return sorted(self._by_fingerprint.values(),
                           key=lambda e: e.registered_at)
 
-    def decomposition(self, entry: GraphEntry, cost_model: str) -> Decomposition:
-        """The entry's decomposition under ``cost_model``, cached."""
-        if cost_model not in COST_MODELS:
-            raise InvalidParameterError(
-                f"unknown cost model {cost_model!r}; "
-                f"expected one of {COST_MODELS}"
-            )
+    def decomposition(self, entry: GraphEntry) -> Decomposition:
+        """The entry's decomposition, cached."""
         with self._lock:
-            cached = entry._decompositions.get(cost_model)
+            cached = entry._decomposition
             if cached is not None:
                 self.stats.decompose_cache_hits += 1
                 return cached
-            decomposition = decompose(entry.graph, cost_model=cost_model,
-                                      core=entry.core)
+            decomposition = decompose(entry.graph, core=entry.core)
             self.stats.decompose_calls += 1
-            entry._decompositions[cost_model] = decomposition
+            entry._decomposition = decomposition
             return decomposition
 
-    def chunks(
-        self,
-        entry: GraphEntry,
-        cost_model: str,
-        strategy: str,
-        n_chunks: int,
-    ) -> list[Chunk]:
-        """The entry's chunk packing for the given knobs, cached."""
-        key = (cost_model, strategy, n_chunks)
+    def chunks(self, entry: GraphEntry, n_chunks: int) -> list[Chunk]:
+        """The entry's LPT packing into ``n_chunks`` chunks, cached."""
         with self._lock:
-            cached = entry._chunks.get(key)
+            cached = entry._chunks.get(n_chunks)
             if cached is not None:
                 self.stats.chunk_cache_hits += 1
                 return cached
-            decomposition = self.decomposition(entry, cost_model)
-            chunks = make_chunks(decomposition.subproblems, n_chunks,
-                                 strategy=strategy)
+            decomposition = self.decomposition(entry)
+            chunks = make_chunks(decomposition.subproblems, n_chunks)
             self.stats.chunk_builds += 1
-            entry._chunks[key] = chunks
+            entry._chunks[n_chunks] = chunks
             return chunks
-
-    def steal_plan(
-        self,
-        entry: GraphEntry,
-        cost_model: str,
-        strategy: str,
-        n_jobs: int,
-        chunks_per_worker: int,
-        resplit_ok: bool,
-    ) -> tuple[list[Chunk], list[SplitTask], int]:
-        """The entry's steal-mode schedule for the given knobs, cached.
-
-        Two variants exist per knob set: with re-splitting (requests
-        routed to the in-place X-aware tier) and without (algorithms or
-        option mixes the branch primitive cannot serve) — ``resplit_ok``
-        picks the variant, so algorithm-dependent eligibility never
-        poisons the cache.
-        """
-        key = (cost_model, strategy, n_jobs, chunks_per_worker,
-               bool(resplit_ok))
-        with self._lock:
-            cached = entry._steal_plans.get(key)
-            if cached is not None:
-                self.stats.steal_plan_cache_hits += 1
-                return cached
-            decomposition = self.decomposition(entry, cost_model)
-            plan = plan_steal_schedule(
-                entry.graph, decomposition, n_jobs, chunks_per_worker,
-                strategy=strategy, resplit_ok=resplit_ok,
-            )
-            self.stats.steal_plan_builds += 1
-            entry._steal_plans[key] = plan
-            return plan

@@ -17,6 +17,7 @@ import pytest
 
 from repro.api import ALGORITHMS, maximal_cliques
 from repro.graph.io import load_graph
+from repro.parallel import CountAggregator, run_parallel
 from repro.verify import clique_fingerprint
 
 FIXTURES_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -86,9 +87,16 @@ def test_filtering_decomposition_reproduces_golden(name):
 @pytest.mark.parametrize("n_jobs", [1, 2, 4])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_steal_schedule_reproduces_golden(name, algorithm, n_jobs):
-    """Work stealing is a scheduling change: same fingerprints, always."""
+def test_count_mode_reproduces_golden(name, algorithm, n_jobs):
+    """The count aggregator (per-subproblem summaries, no cliques shipped)
+    hits the committed count and maximum clique size, and the folded
+    counters account for every clique exactly once."""
     g = _graph(name)
+    golden = GOLDEN[name]
     for options in _backend_options(algorithm):
-        _check(name, maximal_cliques(g, algorithm=algorithm, n_jobs=n_jobs,
-                                     steal=True, **options))
+        aggregator = CountAggregator()
+        counters = run_parallel(g, aggregator, algorithm=algorithm,
+                                n_jobs=n_jobs, **options)
+        assert aggregator.finish() == golden["cliques"]
+        assert aggregator.max_size == golden["max_clique_size"]
+        assert counters.emitted == golden["cliques"]

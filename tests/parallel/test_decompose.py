@@ -3,12 +3,10 @@
 import pytest
 
 from repro.api import maximal_cliques
-from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.builders import complete_graph
 from repro.graph.generators import erdos_renyi_gnm, ring_of_cliques
 from repro.parallel.decompose import (
-    COST_MODELS,
     decompose,
     solve_subproblem,
     subproblem_sets,
@@ -30,28 +28,24 @@ class TestDecompose:
         assert d.subproblems == []
         assert d.total_cost == 0.0
 
-    def test_unknown_cost_model(self):
-        with pytest.raises(InvalidParameterError):
-            decompose(Graph(3), cost_model="psychic")
-
-    @pytest.mark.parametrize("model", COST_MODELS)
-    def test_cost_models_positive_and_total(self, model):
+    def test_costs_positive_and_total(self):
         g = erdos_renyi_gnm(25, 90, seed=1)
-        d = decompose(g, cost_model=model)
+        d = decompose(g)
         assert all(s.cost >= 1.0 for s in d.subproblems)
         assert d.total_cost == pytest.approx(sum(s.cost for s in d.subproblems))
 
-    def test_cost_models_track_density(self):
+    def test_cost_tracks_density(self):
         # The root of a planted clique must out-weigh an isolated vertex.
         g = complete_graph(6)
         g.add_vertices(1)
-        for model in ("candidates", "edges", "triangles"):
-            d = decompose(g, cost_model=model)
-            by_vertex = {s.vertex: s.cost for s in d.subproblems}
-            # The isolated vertex peels first; order[1] is the clique root
-            # whose candidate set holds the other five clique members.
-            assert d.order[0] == 6
-            assert by_vertex[d.order[1]] > by_vertex[6]
+        d = decompose(g)
+        by_vertex = {s.vertex: s.cost for s in d.subproblems}
+        # The isolated vertex peels first; order[1] is the clique root
+        # whose candidate set holds the other five clique members: the
+        # 10 edges among them plus 5 candidates plus 1.
+        assert d.order[0] == 6
+        assert by_vertex[d.order[1]] == 16.0
+        assert by_vertex[6] == 1.0
 
 
 class TestSubproblemSets:

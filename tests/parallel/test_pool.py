@@ -1,6 +1,8 @@
 """Unit tests for the worker-pool driver and its validation surface."""
 
+import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -9,15 +11,13 @@ from repro.api import count_maximal_cliques, enumerate_to_sink, maximal_cliques
 from repro.core.result import CliqueCollector
 from repro.exceptions import InvalidParameterError, WorkerPoolError
 from repro.graph.adjacency import Graph
-from repro.graph.generators import ba_heavy_hub, erdos_renyi_gnm
+from repro.graph.generators import erdos_renyi_gnm
 from repro.parallel import (
-    ChunkResult,
     CollectAggregator,
     CountAggregator,
     GraphState,
     ParallelStats,
     RequestConfig,
-    SplitTask,
     WorkerPool,
     parse_jobs,
     run_parallel,
@@ -25,8 +25,9 @@ from repro.parallel import (
 )
 from repro.parallel import pool as pool_module
 from repro.parallel.decompose import decompose
-from repro.parallel.pool import _SplitMerger, _solve_chunk
+from repro.parallel.pool import _solve_chunk
 from repro.parallel.scheduler import make_chunks
+from repro.service import CliqueService
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             maximal_cliques(graph, n_jobs=2, et_threshold=9)
 
-    def test_scheduler_knobs_require_n_jobs(self, graph):
+    def test_deleted_scheduler_knobs_are_rejected(self, graph):
         with pytest.raises(InvalidParameterError):
             maximal_cliques(graph, chunk_strategy="greedy")
         with pytest.raises(InvalidParameterError):
@@ -119,28 +120,6 @@ class TestRunParallel:
             agg = CollectAggregator()
             run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=n_jobs)
             assert sorted(agg.finish()) == reference
-
-    @pytest.mark.parametrize("strategy", ["greedy", "contiguous", "round-robin"])
-    def test_all_strategies_agree(self, graph, reference, strategy):
-        agg = CollectAggregator()
-        run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=2,
-                     chunk_strategy=strategy)
-        assert sorted(agg.finish()) == reference
-
-    @pytest.mark.parametrize("model", ["uniform", "candidates", "edges", "triangles"])
-    def test_all_cost_models_agree(self, graph, reference, model):
-        agg = CollectAggregator()
-        run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=2,
-                     cost_model=model)
-        assert sorted(agg.finish()) == reference
-
-    def test_chunks_per_worker_oversubscription(self, graph, reference):
-        agg = CollectAggregator()
-        stats = ParallelStats()
-        run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=2,
-                     chunks_per_worker=3, stats=stats)
-        assert sorted(agg.finish()) == reference
-        assert stats.n_chunks == 6
 
     def test_stats_filled(self, graph):
         stats = ParallelStats()
@@ -330,101 +309,6 @@ class TestBroadcastHang:
             pool.close()
 
 
-class TestStealMode:
-    @pytest.fixture(scope="class")
-    def hub(self):
-        return ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
-
-    @pytest.fixture(scope="class")
-    def hub_reference(self, hub):
-        return maximal_cliques(hub)
-
-    def test_steal_matches_static(self, hub, hub_reference):
-        agg = CollectAggregator()
-        stats = ParallelStats()
-        run_parallel(hub, agg, algorithm="hbbmc++", n_jobs=2, steal=True,
-                     stats=stats)
-        assert sorted(agg.finish()) == hub_reference
-        assert stats.steal is True
-        assert stats.resplit_subproblems >= 1
-        assert stats.resplit_tasks >= stats.resplit_subproblems
-        assert stats.steals > 0  # many small chunks, window of 2
-
-    def test_steal_inline_matches(self, hub, hub_reference):
-        agg = CollectAggregator()
-        stats = ParallelStats()
-        run_parallel(hub, agg, algorithm="hbbmc++", n_jobs=1, steal=True,
-                     stats=stats)
-        assert sorted(agg.finish()) == hub_reference
-        assert stats.steals == 0  # inline path dispatches nothing
-
-    def test_steal_count_mode(self, hub, hub_reference):
-        agg = CountAggregator()
-        run_parallel(hub, agg, algorithm="hbbmc++", n_jobs=2, steal=True)
-        assert agg.finish() == len(hub_reference)
-
-    def test_steal_rejects_non_bool(self, hub):
-        with pytest.raises(InvalidParameterError):
-            run_parallel(hub, CountAggregator(), algorithm="hbbmc++",
-                         n_jobs=2, steal="yes")
-
-    def test_api_steal_requires_n_jobs(self, graph):
-        with pytest.raises(InvalidParameterError):
-            maximal_cliques(graph, steal=True)
-
-    def test_api_steal_roundtrip(self, graph, reference):
-        assert maximal_cliques(graph, n_jobs=2, steal=True) == reference
-        assert count_maximal_cliques(graph, n_jobs=2,
-                                     steal=True) == len(reference)
-
-    def test_dynamic_dispatch_counts_steals(self, graph, reference):
-        state, decomposition = _graph_state(graph)
-        chunks = make_chunks(decomposition.subproblems, 8)
-        config = RequestConfig(algorithm="hbbmc++", options={}, mode="count")
-        with WorkerPool(2, warm=True) as pool:
-            agg = CountAggregator()
-            agg.start(sum(len(c.positions) for c in chunks))
-            report = pool.submit("g", state, config, chunks, agg.accept)
-            assert agg.finish() == len(reference)
-            # Window of 2 in flight; the other 6 are dynamic pulls.
-            assert report.steals == len(chunks) - 2
-            assert sum(report.steals_by_worker.values()) == report.steals
-
-
-class TestSplitMerger:
-    def _tasks(self):
-        return [
-            SplitTask(index=5, position=3, branches=(0,), part=0, parts=2,
-                      cost=1.0),
-            SplitTask(index=6, position=3, branches=(1,), part=1, parts=2,
-                      cost=1.0),
-        ]
-
-    def _result(self, index, payload):
-        return ChunkResult(chunk_index=index, items=[(3, payload)])
-
-    def test_collect_mode_merges_sorted_on_last_part(self):
-        merger = _SplitMerger(self._tasks(), "collect")
-        assert merger.owns(5) and merger.owns(6) and not merger.owns(0)
-        first = merger.fold(self._result(5, [(1, 2), (4, 5)]))
-        assert first.items == []  # partial payloads never reach aggregators
-        last = merger.fold(self._result(6, [(0, 3)]))
-        assert last.items == [(3, [(0, 3), (1, 2), (4, 5)])]
-
-    def test_count_mode_sums_counts_and_maxes_size(self):
-        merger = _SplitMerger(self._tasks(), "count")
-        merger.fold(self._result(5, (2, 3, 10)))
-        last = merger.fold(self._result(6, (4, 5, 20)))
-        assert last.items == [(3, (6, 5, 30))]
-
-    def test_arrival_order_does_not_matter(self):
-        merger = _SplitMerger(self._tasks(), "collect")
-        first = merger.fold(self._result(6, [(0, 3)]))
-        assert first.items == []
-        last = merger.fold(self._result(5, [(1, 2)]))
-        assert last.items == [(3, [(0, 3), (1, 2)])]
-
-
 class TestApiIntegration:
     def test_enumerate_to_sink_streams_deterministically(self, graph):
         streams = []
@@ -453,6 +337,55 @@ class TestApiIntegration:
     def test_single_vertex(self):
         assert maximal_cliques(Graph(1), n_jobs=2) == [(0,)]
         assert count_maximal_cliques(Graph(1), n_jobs=2) == 1
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="patches the worker entry point before the fork")
+class TestWorkerDeath:
+    """A worker that dies mid-chunk must fail the request, not hang it."""
+
+    BOUND = 20.0
+
+    def test_worker_exit_raises_and_service_recovers(self, graph, reference,
+                                                     monkeypatch):
+        real = pool_module._solve_chunk
+
+        def dying(graph_state, config, chunk):
+            if chunk.index == 1:
+                os._exit(3)  # a SIGKILLed worker: no cleanup, no result
+            return real(graph_state, config, chunk)
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(pool_module, "_solve_chunk", dying)
+        service = CliqueService(n_jobs=2)
+        service.register(graph, name="g")
+        outcome = []
+
+        def request():
+            try:
+                outcome.append(service.count("g"))
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=request, daemon=True)
+        start = time.monotonic()
+        thread.start()
+        thread.join(self.BOUND)
+        elapsed = time.monotonic() - start
+        if thread.is_alive():
+            # The hung request holds the service lock; free the workers
+            # and fail without closing the service.
+            service._pool._discard_pool()
+            pytest.fail(f"request still blocked after {self.BOUND:.0f}s")
+        try:
+            assert elapsed < self.BOUND
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], WorkerPoolError), outcome
+            monkeypatch.setattr(pool_module, "_solve_chunk", real)
+            assert service.count("g")["count"] == len(reference)
+            assert service.stats()["pool_spinups"] == 2
+        finally:
+            service.close()
 
 
 class TestPoolThreadSafety:

@@ -1,22 +1,18 @@
-"""Unit tests for the chunking strategies."""
-
-import math
+"""Unit tests for the one chunk packing (greedy LPT)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import InvalidParameterError
+from repro.graph.generators import erdos_renyi_gnm
+from repro.parallel import CountAggregator, WorkerPool, run_parallel
 from repro.parallel.decompose import Subproblem
 from repro.parallel.scheduler import (
-    CHUNK_STRATEGIES,
-    RESPLIT_COST_MULTIPLE,
-    STEAL_CHUNK_FACTOR,
     balance_ratio,
     chunk_summary,
     make_chunks,
-    plan_steal,
-    resplit_threshold,
-    steal_chunk_count,
 )
+from repro.service.registry import GraphRegistry
 
 
 def _subs(costs):
@@ -25,59 +21,64 @@ def _subs(costs):
 
 
 class TestMakeChunks:
-    @pytest.mark.parametrize("strategy", CHUNK_STRATEGIES)
-    def test_exact_cover(self, strategy):
+    def test_exact_cover(self):
         subs = _subs([5, 1, 3, 2, 8, 1, 1, 4])
-        chunks = make_chunks(subs, 3, strategy=strategy)
+        chunks = make_chunks(subs, 3)
         covered = [p for c in chunks for p in c.positions]
         assert sorted(covered) == list(range(len(subs)))
         assert len(covered) == len(set(covered))
         assert all(c.positions == tuple(sorted(c.positions)) for c in chunks)
         assert [c.index for c in chunks] == list(range(len(chunks)))
 
-    @pytest.mark.parametrize("strategy", CHUNK_STRATEGIES)
-    def test_deterministic(self, strategy):
+    def test_deterministic(self):
         subs = _subs([3, 3, 3, 1, 1, 9])
-        a = make_chunks(subs, 4, strategy=strategy)
-        b = make_chunks(subs, 4, strategy=strategy)
-        assert a == b
+        assert make_chunks(subs, 4) == make_chunks(subs, 4)
 
     def test_greedy_balances_skewed_costs(self):
         # One giant + many small: LPT must isolate the giant.
         subs = _subs([100] + [1] * 100)
-        chunks = make_chunks(subs, 2, strategy="greedy")
+        chunks = make_chunks(subs, 2)
         assert balance_ratio(chunks) == pytest.approx(1.0)
 
-    def test_greedy_beats_round_robin_on_skew(self):
-        subs = _subs([50, 1, 50, 1, 50, 1, 50, 1])
-        greedy = balance_ratio(make_chunks(subs, 4, strategy="greedy"))
-        rr = balance_ratio(make_chunks(subs, 4, strategy="round-robin"))
-        assert greedy > rr
-
-    def test_contiguous_preserves_order_runs(self):
-        subs = _subs([1] * 12)
-        chunks = make_chunks(subs, 3, strategy="contiguous")
-        for c in chunks:
-            lo, hi = c.positions[0], c.positions[-1]
-            assert c.positions == tuple(range(lo, hi + 1))
-
     def test_more_chunks_than_subproblems(self):
-        subs = _subs([1, 2])
-        for strategy in CHUNK_STRATEGIES:
-            chunks = make_chunks(subs, 8, strategy=strategy)
-            assert 1 <= len(chunks) <= 2
-            assert sorted(p for c in chunks for p in c.positions) == [0, 1]
+        chunks = make_chunks(_subs([1, 2]), 8)
+        assert len(chunks) == 2
+        assert sorted(p for c in chunks for p in c.positions) == [0, 1]
 
     def test_empty_input(self):
         assert make_chunks([], 4) == []
 
-    def test_bad_strategy(self):
-        with pytest.raises(InvalidParameterError):
-            make_chunks(_subs([1]), 2, strategy="vibes")
-
     def test_bad_chunk_count(self):
         with pytest.raises(InvalidParameterError):
             make_chunks(_subs([1]), 0)
+
+
+_COSTS = st.lists(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+              allow_infinity=False),
+    min_size=1, max_size=60,
+)
+
+
+class TestLptProperties:
+    @given(costs=_COSTS, k=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_packing_properties(self, costs, k):
+        subs = _subs(costs)
+        chunks = make_chunks(subs, k)
+        # Every subproblem lands in exactly one chunk.
+        covered = sorted(p for c in chunks for p in c.positions)
+        assert covered == list(range(len(subs)))
+        # min(k, n) chunks, none of them empty.
+        assert len(chunks) == min(k, len(subs))
+        assert all(c.positions for c in chunks)
+        # Deterministic.
+        assert make_chunks(subs, k) == chunks
+        # Graham's LPT bound: max chunk <= total / k + max single cost.
+        k_used = len(chunks)
+        worst = max(c.cost for c in chunks)
+        bound = sum(costs) / k_used + max(costs)
+        assert worst <= bound * (1 + 1e-9) + 1e-9
 
 
 class TestBalanceRatio:
@@ -85,97 +86,43 @@ class TestBalanceRatio:
         assert balance_ratio([]) == 1.0
 
     def test_even_chunks_are_perfect(self):
-        chunks = make_chunks(_subs([2, 2, 2, 2]), 2, strategy="round-robin")
+        chunks = make_chunks(_subs([2, 2, 2, 2]), 2)
         assert balance_ratio(chunks) == pytest.approx(1.0)
 
-    def test_requested_count_is_the_denominator(self):
-        # Contiguous packing of [1, 100] at 2 requested chunks happens to
-        # deliver both in one chunk; scoring against the *delivered*
-        # count would call that perfect.  Against the requested count the
-        # schedule is what it is: ideal makespan 101/2 over actual 101.
-        chunks = make_chunks(_subs([1, 100]), 2, strategy="contiguous")
-        if len(chunks) == 2:
-            pytest.skip("packing changed; pick a packing that collapses")
-        assert balance_ratio(chunks) == pytest.approx(1.0)
-        assert balance_ratio(chunks, requested=2) == pytest.approx(
-            (101 / 2) / 101)
+    def test_skew_below_one(self):
+        # The hub alone outweighs everything else: ideal 101/2 over 100.
+        chunks = make_chunks(_subs([100, 1]), 2)
+        assert balance_ratio(chunks) == pytest.approx((101 / 2) / 100)
 
-    def test_requested_below_delivered_clamps_up(self):
-        chunks = make_chunks(_subs([2, 2, 2, 2]), 4, strategy="round-robin")
-        assert balance_ratio(chunks, requested=1) == pytest.approx(
-            balance_ratio(chunks))
-
-    def test_chunk_summary_uses_requested(self):
-        chunks = make_chunks(_subs([1, 100]), 2, strategy="contiguous")
-        summary = chunk_summary(chunks, requested=2)
+    def test_chunk_summary(self):
+        chunks = make_chunks(_subs([100, 1, 2]), 2)
+        summary = chunk_summary(chunks)
+        assert summary["n_chunks"] == 2
+        assert summary["subproblems"] == 3
         assert summary["balance_ratio"] == pytest.approx(
-            round(balance_ratio(chunks, requested=2), 4))
+            round(balance_ratio(chunks), 4))
+        assert summary["max_cost"] == 100
 
 
-class TestResplitThreshold:
-    def test_median_times_multiple(self):
-        assert resplit_threshold([1.0, 2.0, 3.0]) == pytest.approx(
-            2.0 * RESPLIT_COST_MULTIPLE)
+class TestOnePacking:
+    """The service registry and the one-shot path cut the same chunks."""
 
-    def test_even_count_averages_middle_pair(self):
-        assert resplit_threshold([1.0, 2.0, 4.0, 8.0]) == pytest.approx(
-            3.0 * RESPLIT_COST_MULTIPLE)
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_registry_and_run_parallel_agree(self, monkeypatch, n_jobs):
+        g = erdos_renyi_gnm(40, 200, seed=9)
+        shipped = []
+        submit = WorkerPool.submit
 
-    def test_zero_costs_ignored(self):
-        assert resplit_threshold([0.0, 0.0, 6.0]) == pytest.approx(
-            6.0 * RESPLIT_COST_MULTIPLE)
+        def recording_submit(self, key, state, config, chunks, *args,
+                             **kwargs):
+            shipped.append([c.positions for c in chunks])
+            return submit(self, key, state, config, chunks, *args, **kwargs)
 
-    def test_no_positive_costs_marks_nothing(self):
-        assert math.isinf(resplit_threshold([]))
-        assert math.isinf(resplit_threshold([0.0, 0.0]))
-
-    def test_outlier_does_not_drag_the_reference(self):
-        # A mean-based cut would chase the hub; the median stays put.
-        costs = [1.0] * 9 + [10_000.0]
-        assert resplit_threshold(costs) == pytest.approx(
-            1.0 * RESPLIT_COST_MULTIPLE)
-
-
-class TestStealChunkCount:
-    def test_oversubscribes_by_the_factor(self):
-        assert steal_chunk_count(1000, 4, 1) == 4 * STEAL_CHUNK_FACTOR
-
-    def test_capped_by_subproblem_count(self):
-        assert steal_chunk_count(3, 4, 1) == 3
-
-    def test_at_least_one(self):
-        assert steal_chunk_count(1, 1, 1) == 1
-
-
-class TestPlanSteal:
-    def test_covers_everything_once_biggest_first(self):
-        subs = _subs([5, 1, 3, 2, 8, 1, 1, 4])
-        plan = plan_steal(subs, 2)
-        covered = sorted(p for c in plan.chunks for p in c.positions)
-        assert covered == list(range(len(subs)))
-        costs = [c.cost for c in plan.chunks]
-        assert costs == sorted(costs, reverse=True)
-        assert [c.index for c in plan.chunks] == list(range(len(plan.chunks)))
-
-    def test_resplit_positions_are_excluded(self):
-        subs = _subs([5, 1, 3, 2, 8, 1, 1, 4])
-        plan = plan_steal(subs, 2, resplit=[4, 0])
-        covered = sorted(p for c in plan.chunks for p in c.positions)
-        assert covered == [1, 2, 3, 5, 6, 7]
-        assert plan.resplit == (0, 4)
-
-    def test_all_resplit_leaves_empty_chunks(self):
-        subs = _subs([3, 5])
-        plan = plan_steal(subs, 2, resplit=[0, 1])
-        assert plan.chunks == []
-        assert plan.resplit == (0, 1)
-
-    def test_deterministic(self):
-        subs = _subs([3, 3, 3, 1, 1, 9, 2, 2])
-        assert plan_steal(subs, 4) == plan_steal(subs, 4)
-
-    def test_threshold_recorded(self):
-        subs = _subs([1.0, 2.0, 3.0])
-        plan = plan_steal(subs, 2)
-        assert plan.threshold == pytest.approx(resplit_threshold(
-            [1.0, 2.0, 3.0]))
+        monkeypatch.setattr(WorkerPool, "submit", recording_submit)
+        run_parallel(g, CountAggregator(), algorithm="hbbmc++",
+                     n_jobs=n_jobs)
+        registry = GraphRegistry()
+        entry = registry.register(g)
+        packed = [c.positions for c in registry.chunks(entry, n_jobs)]
+        assert shipped == [packed]
+        assert len(packed) == n_jobs

@@ -33,16 +33,14 @@ def _run(g, *, x_aware, n_jobs=1, algorithm="hbbmc++", **options):
 class TestPerChunkCpuAccounting:
     def test_every_chunk_records_cpu(self):
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=1,
-                                        chunks_per_worker=4)
-        assert stats.n_chunks >= 2
+        _count, _counters, stats = _run(g, x_aware=True, n_jobs=4)
+        assert stats.n_chunks == 4
         assert sorted(stats.chunk_cpu_seconds) == list(range(stats.n_chunks))
         assert all(cpu >= 0.0 for cpu in stats.chunk_cpu_seconds.values())
 
     def test_totals_derive_from_chunks(self):
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=1,
-                                        chunks_per_worker=4)
+        _count, _counters, stats = _run(g, x_aware=True, n_jobs=1)
         chunk_cpu = stats.chunk_cpu_seconds.values()
         assert stats.total_cpu_seconds == pytest.approx(
             stats.decompose_seconds + sum(chunk_cpu))
@@ -60,7 +58,7 @@ class TestPerChunkCpuAccounting:
 class TestCriticalPath:
     def test_equal_tasks_queue_behind_each_other(self):
         stats = ParallelStats(n_jobs=4, decompose_seconds=0.5,
-                              task_cpu_seconds=[1.0] * 16)
+                              chunk_cpu_seconds={i: 1.0 for i in range(16)})
         assert stats.critical_path_seconds == pytest.approx(0.5 + 4.0)
 
     def test_replay_follows_dispatch_order(self):
@@ -70,14 +68,13 @@ class TestCriticalPath:
         assert makespan([5.0, 1.0, 1.0, 1.0], 2) == pytest.approx(5.0)
         assert makespan([], 4) == 0.0
 
-    def test_steal_run_records_every_task(self):
+    def test_pool_run_records_every_task(self):
+        # One chunk per worker: the makespan is the slowest chunk.
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=2,
-                                        steal=True)
-        assert len(stats.task_cpu_seconds) == len(stats.chunk_cpu_seconds)
+        _count, _counters, stats = _run(g, x_aware=True, n_jobs=2)
+        assert sorted(stats.chunk_cpu_seconds) == [0, 1]
         assert stats.critical_path_seconds == pytest.approx(
-            stats.decompose_seconds
-            + makespan(stats.task_cpu_seconds, 2))
+            stats.decompose_seconds + max(stats.chunk_cpu_seconds.values()))
         assert stats.critical_path_seconds <= stats.total_cpu_seconds + 1e-9
 
 

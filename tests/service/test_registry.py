@@ -97,7 +97,7 @@ class TestRegistry:
         # must come from the same core_decomposition run.
         registry = GraphRegistry()
         entry = registry.register(graph)
-        decomposition = registry.decomposition(entry, "edges")
+        decomposition = registry.decomposition(entry)
         assert decomposition.order is entry.graph_state.order
         assert decomposition.position is entry.graph_state.position
 
@@ -106,30 +106,22 @@ class TestRegistry:
         entry = registry.register(graph)
         assert "degeneracy" in entry.graph_state.bit_graphs
 
-    def test_decomposition_cached_per_cost_model(self, graph):
+    def test_decomposition_cached(self, graph):
         registry = GraphRegistry()
         entry = registry.register(graph)
-        first = registry.decomposition(entry, "edges")
+        first = registry.decomposition(entry)
         assert registry.stats.decompose_calls == 1
-        assert registry.decomposition(entry, "edges") is first
+        assert registry.decomposition(entry) is first
         assert registry.stats.decompose_calls == 1
         assert registry.stats.decompose_cache_hits == 1
-        registry.decomposition(entry, "uniform")
-        assert registry.stats.decompose_calls == 2
-
-    def test_decomposition_rejects_unknown_cost_model(self, graph):
-        registry = GraphRegistry()
-        entry = registry.register(graph)
-        with pytest.raises(InvalidParameterError):
-            registry.decomposition(entry, "nope")
 
     def test_chunks_cached_per_knobs(self, graph):
         registry = GraphRegistry()
         entry = registry.register(graph)
-        first = registry.chunks(entry, "edges", "greedy", 4)
-        assert registry.chunks(entry, "edges", "greedy", 4) is first
+        first = registry.chunks(entry, 4)
+        assert registry.chunks(entry, 4) is first
         assert registry.stats.chunk_cache_hits == 1
-        other = registry.chunks(entry, "edges", "greedy", 2)
+        other = registry.chunks(entry, 2)
         assert other is not first
         assert registry.stats.chunk_builds == 2
 
@@ -160,7 +152,7 @@ class TestRegistryThreadSafety:
             try:
                 barrier.wait(timeout=10)
                 entry = registry.register(graph, name="g")
-                registry.decomposition(entry, "edges")
+                registry.decomposition(entry)
                 entries.append(entry)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)

@@ -60,6 +60,13 @@ class TestHandleRequest:
         response, _ = handle_request(
             service, {"op": "count", "graph": "k4", "backend": "words"})
         assert not response["ok"] and "words" in response["error"]
+        # The deleted scheduling knobs are unknown fields like any other.
+        for field, value in (("steal", True), ("chunk_strategy", "greedy"),
+                             ("cost_model", "edges"),
+                             ("chunks_per_worker", 2)):
+            response, _ = handle_request(
+                service, {"op": "count", "graph": "k4", field: value})
+            assert not response["ok"] and field in response["error"]
 
     def test_inline_register_requires_exact_integers(self, service):
         # Regression: int() coercion used to silently truncate 2.7 -> 2.
@@ -160,18 +167,6 @@ class TestHandleRequest:
         assert response["ok"]
         assert response["cliques"] == [[0, 1, 2, 3]]
         assert not response["truncated"]
-
-    def test_steal_knob_round_trips(self, service):
-        handle_request(service, {"op": "register", "n": 4,
-                                 "edges": K4_EDGES, "name": "k4"})
-        for op in ("count", "enumerate", "fingerprint"):
-            response, _ = handle_request(
-                service, {"op": op, "graph": "k4", "steal": True})
-            assert response["ok"], response
-            assert response["count"] == 1
-        response, _ = handle_request(
-            service, {"op": "count", "graph": "k4", "steal": 1})
-        assert not response["ok"] and "steal" in response["error"]
 
 
 class TestStdioTransport:

@@ -132,6 +132,29 @@ class TestFidelity:
             assert service.stats()["pool_spinups"] == 1
             assert service.stats()["decompose_calls"] == 1
 
+    @pytest.fixture(scope="class")
+    def fixture_service(self):
+        """Every fixture graph registered in one warm n_jobs=2 service."""
+        with CliqueService(n_jobs=2) as service:
+            for name in GOLDEN:
+                service.register(
+                    load_graph(FIXTURES_DIR / GOLDEN[name]["file"]),
+                    name=name)
+            yield service
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_counts_warm_pool(self, fixture_service, name, algorithm):
+        """The count op for every algorithm × backend on every fixture,
+        through the one pool the service keeps warm."""
+        for options in _backend_options(algorithm):
+            result = fixture_service.count(name, algorithm=algorithm,
+                                           **options)
+            assert result["count"] == GOLDEN[name]["cliques"]
+            assert result["max_clique_size"] \
+                == GOLDEN[name]["max_clique_size"]
+        assert fixture_service.stats()["pool_spinups"] == 1
+
     def test_service_matches_direct_path(self, graph):
         direct = clique_fingerprint(maximal_cliques(graph))
         with CliqueService(n_jobs=2) as service:
@@ -214,63 +237,16 @@ class TestRequestSurface:
     def test_constructor_validation(self):
         with pytest.raises(InvalidParameterError):
             CliqueService(n_jobs=0)
-        with pytest.raises(InvalidParameterError):
-            CliqueService(chunks_per_worker=0)
 
-
-class TestStealRequests:
-    @pytest.fixture(scope="class")
-    def hub(self):
-        from repro.graph.generators import ba_heavy_hub
-
-        return ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
-
-    def test_steal_matches_static_across_ops(self, hub):
-        reference = maximal_cliques(hub)
-        with CliqueService(n_jobs=2) as service:
-            service.register(hub, name="hub")
-            count = service.count("hub", steal=True)
-            cliques = service.enumerate("hub", steal=True)["cliques"]
-            fingerprint = service.fingerprint("hub", steal=True)["sha256"]
-        assert count["count"] == len(reference)
-        # The service streams cliques in subproblem-position order;
-        # canonically sorted they must match the direct path exactly.
-        assert sorted(tuple(c) for c in cliques) == reference
-        assert fingerprint == clique_fingerprint(reference)
-
-    def test_steal_plan_is_cached(self, hub):
-        with CliqueService(n_jobs=2) as service:
-            service.register(hub, name="hub")
-            service.count("hub", steal=True)
-            after_first = service.stats()
-            service.count("hub", steal=True)
-            stats = service.stats()
-        assert after_first["steal_plan_builds"] == 1
-        assert after_first["steal_plan_cache_hits"] == 0
-        assert stats["steal_plan_builds"] == 1
-        assert stats["steal_plan_cache_hits"] == 1
-
-    def test_traced_steal_request_reports_schedule(self, hub):
-        with CliqueService(n_jobs=2) as service:
-            service.register(hub, name="hub")
-            result = service.count("hub", steal=True, trace=True)
-        parallel = result["parallel"]
-        assert parallel["steal"] is True
-        assert parallel["resplit_subproblems"] >= 1
-        assert parallel["resplit_tasks"] >= parallel["resplit_subproblems"]
-        assert parallel["steals"] > 0
-        def names(span):
-            yield span["name"]
-            for child in span.get("children", []):
-                yield from names(child)
-
-        assert "split" in set(names(result["trace"]))
-
-    def test_steal_rejects_non_bool(self, graph):
+    @pytest.mark.parametrize("knob,value", [
+        ("steal", True), ("chunk_strategy", "greedy"),
+        ("cost_model", "edges"), ("chunks_per_worker", 2),
+    ])
+    def test_deleted_scheduler_knobs_rejected(self, graph, knob, value):
         with CliqueService() as service:
             service.register(graph, name="g")
-            with pytest.raises(InvalidParameterError):
-                service.count("g", steal=1)
+            with pytest.raises(InvalidParameterError, match=knob):
+                service.count("g", **{knob: value})
 
 
 class TestShutdown:

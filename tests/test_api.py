@@ -101,6 +101,32 @@ class TestOptionValidation:
             with pytest.raises(InvalidParameterError):
                 maximal_cliques(complete_graph(3), backend=backend)
 
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    @pytest.mark.parametrize("name", [
+        "foo", "steal", "chunk_strategy", "cost_model", "chunks_per_worker",
+    ])
+    def test_unknown_option_rejected(self, name, n_jobs):
+        # The deleted scheduling knobs are unknown options like any other:
+        # a one-line InvalidParameterError naming the option, never a raw
+        # TypeError from the runner, on the serial and the pool path.
+        g = complete_graph(3)
+        for call in (maximal_cliques, count_maximal_cliques, run_with_report):
+            with pytest.raises(InvalidParameterError, match=name):
+                call(g, n_jobs=n_jobs, **{name: 1})
+
+    def test_option_rejected_by_algorithm_without_it(self):
+        # rdegen fixes graph reduction and early termination itself.
+        with pytest.raises(InvalidParameterError, match="et_threshold"):
+            maximal_cliques(complete_graph(3), algorithm="rdegen",
+                            et_threshold=2)
+
+    def test_accepted_options_read_once_per_algorithm(self):
+        spec = get_algorithm("hbbmc++")
+        assert {"backend", "bit_order", "et_threshold", "graph_reduction",
+                "initial_x"} <= spec.options
+        assert get_algorithm("reverse-search").options == {
+            "backend", "bit_order", "counters"}
+
     def test_valid_et_thresholds_accepted(self):
         g = erdos_renyi_gnm(12, 30, seed=2)
         expected = maximal_cliques(g)

@@ -138,9 +138,8 @@ class TestJobsFlag:
         assert main(["enumerate", graph_file, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_count_with_jobs_and_strategy(self, graph_file, capsys):
-        assert main(["count", graph_file, "--jobs", "2",
-                     "--chunk-strategy", "contiguous"]) == 0
+    def test_count_with_jobs(self, graph_file, capsys):
+        assert main(["count", graph_file, "--jobs", "2"]) == 0
         assert "1" in capsys.readouterr().out.split()
 
     def test_verify_with_jobs(self, graph_file, capsys):
@@ -155,40 +154,19 @@ class TestJobsFlag:
         assert "--jobs" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_chunk_strategy_without_jobs_exits_2(self, graph_file, capsys):
-        assert main(["enumerate", graph_file,
-                     "--chunk-strategy", "contiguous"]) == 2
+    def test_no_x_aware_without_jobs_exits_2(self, graph_file, capsys):
+        assert main(["enumerate", graph_file, "--no-x-aware"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "--jobs" in err
         assert len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--cost-model", "uniform"),
-        ("--chunks-per-worker", "4"),
-    ])
-    def test_parallel_only_flags_without_jobs_exit_2(
-            self, graph_file, capsys, flag, value):
-        assert main(["enumerate", graph_file, flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert flag in err and "--jobs" in err
-
-    def test_cost_model_and_chunks_per_worker_with_jobs(
-            self, graph_file, capsys):
-        assert main(["enumerate", graph_file]) == 0
-        serial = capsys.readouterr().out
-        assert main(["enumerate", graph_file, "--jobs", "2",
-                     "--cost-model", "uniform",
-                     "--chunks-per-worker", "2"]) == 0
-        assert capsys.readouterr().out == serial
 
     def test_jobs_documented_in_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["enumerate", "--help"])
         out = capsys.readouterr().out
         assert "--jobs" in out
-        assert "--chunk-strategy" in out
+        assert "--no-x-aware" in out
 
 
 class TestErrorExits:
@@ -209,6 +187,11 @@ class TestErrorExits:
             # an unknown backend fails before any work, --all included.
             ["count", graph_file, "--backend", "words"],
             ["count", graph_file, "--all", "--backend", "words"],
+            # the deleted scheduling flags are unrecognized arguments.
+            ["count", graph_file, "--jobs", "2", "--steal"],
+            ["count", graph_file, "--jobs", "2", "--chunk-strategy", "greedy"],
+            ["enumerate", graph_file, "--jobs", "2", "--cost-model", "edges"],
+            ["serve", "--jobs", "2", "--chunks-per-worker", "2"],
         ):
             assert main(argv) == 2
             err = capsys.readouterr().err
