@@ -94,7 +94,7 @@ def workloads(quick: bool):
     ]
 
 
-def _parallel_cell(g, n_jobs: int, repeats: int, x_aware: bool):
+def _parallel_cell(g, n_jobs: int, repeats: int):
     """Best-of-``repeats`` partitioned run at ``n_jobs`` workers."""
     best = None
     for _ in range(max(1, repeats)):
@@ -102,7 +102,7 @@ def _parallel_cell(g, n_jobs: int, repeats: int, x_aware: bool):
         stats = ParallelStats()
         start = time.perf_counter()
         run_parallel(g, aggregator, algorithm=ALGORITHM, n_jobs=n_jobs,
-                     x_aware=x_aware, stats=stats)
+                     stats=stats)
         wall = time.perf_counter() - start
         cell = {
             "wall_seconds": wall,
@@ -115,7 +115,7 @@ def _parallel_cell(g, n_jobs: int, repeats: int, x_aware: bool):
     return best
 
 
-def run(quick: bool, repeats: int, x_aware: bool = True) -> dict:
+def run(quick: bool, repeats: int) -> dict:
     worker_counts = (1, 2) if quick else (1, 2, 4, 8)
     families = []
     for name, g in workloads(quick):
@@ -123,7 +123,7 @@ def run(quick: bool, repeats: int, x_aware: bool = True) -> dict:
         rows = []
         base = None
         for k in worker_counts:
-            cell = _parallel_cell(g, k, repeats, x_aware)
+            cell = _parallel_cell(g, k, repeats)
             if cell["cliques"] != serial.cliques:
                 raise AssertionError(
                     f"{name}: parallel ({cell['cliques']}) and serial "
@@ -189,7 +189,6 @@ def run(quick: bool, repeats: int, x_aware: bool = True) -> dict:
     return {
         "experiment": "parallel-scaling",
         "algorithm": ALGORITHM,
-        "x_aware": x_aware,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "host_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -220,16 +219,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="tiny graphs, workers 1/2 (CI smoke mode)")
     parser.add_argument("--repeats", type=int, default=None,
                         help="repeats per cell, fastest kept")
-    parser.add_argument("--no-x-aware", action="store_true",
-                        help="measure the legacy enumerate-then-filter "
-                             "decomposition instead of X-aware subproblems")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default: BENCH_parallel.json "
                              "at the repo root; /tmp scratch in --quick mode)")
     args = parser.parse_args(argv)
 
     repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    results = run(args.quick, repeats, x_aware=not args.no_x_aware)
+    results = run(args.quick, repeats)
 
     if args.out:
         out = pathlib.Path(args.out)

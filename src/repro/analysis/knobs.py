@@ -76,8 +76,6 @@ def default_knobs() -> tuple[Knob, ...]:
              service=SERVICE_CONSTRUCTOR, worker=None,
              notes={"worker": "pool size is a property of the pool itself, "
                               "not of any task shipped to it"}),
-        Knob("x_aware", api=API_PARAM, cli="--no-x-aware",
-             service=SERVICE_REQUEST, worker=WORKER_FIELD),
         Knob("trace", api=API_PARAM, cli="--trace",
              service=SERVICE_REQUEST, worker=WORKER_FIELD),
         Knob("metrics", api=None, cli="--metrics", service=None, worker=None,

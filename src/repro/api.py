@@ -36,13 +36,13 @@ also accept ``n_jobs=N`` to fan the enumeration out over the
 degeneracy-partitioned worker pool (:mod:`repro.parallel`): the root level
 splits into per-vertex subproblems packed into one cost-balanced chunk per
 worker, each solved by the selected algorithm/backend in a worker process.
-Subproblems are X-set-aware by default — each worker seeds its engine's
-exclusion set from the degeneracy order so no branch is explored twice
-across workers (``x_aware=False`` restores the enumerate-then-filter
-decomposition).  Results merge
-deterministically, so every ``n_jobs`` value yields the identical clique
-stream; ``n_jobs=1`` runs the same partitioned pipeline in-process and
-``n_jobs=None`` (the default) is the classic single-process path.
+Subproblems are X-set-aware — each worker seeds its engine's exclusion set
+from the degeneracy order so no branch is explored twice across workers;
+an algorithm that cannot seed one (``reverse-search``) enumerates each
+subproblem and filters it instead.  Results merge deterministically, so
+every ``n_jobs`` value yields the identical clique stream; ``n_jobs=1``
+runs the same partitioned pipeline in-process and ``n_jobs=None`` (the
+default) is the classic single-process path.
 
 Any other keyword is an engine option; one the selected algorithm does not
 accept raises :class:`repro.exceptions.InvalidParameterError` naming it.
@@ -54,7 +54,7 @@ import inspect
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 from repro.baselines import (
     bk,
@@ -213,7 +213,7 @@ DEFAULT_ALGORITHM = "hbbmc++"
 
 def get_algorithm(name: str) -> AlgorithmSpec:
     """Look up a registered algorithm (case-insensitive)."""
-    spec = ALGORITHMS.get(name.lower())
+    spec = ALGORITHMS.get(name.lower()) if isinstance(name, str) else None
     if spec is None:
         raise UnknownAlgorithmError(
             f"unknown algorithm {name!r}; available: {', '.join(sorted(ALGORITHMS))}"
@@ -227,7 +227,6 @@ def enumerate_to_sink(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    x_aware: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> Counters:
@@ -239,8 +238,6 @@ def enumerate_to_sink(
     across N worker processes (see :mod:`repro.parallel`); the stream
     order is deterministic — degeneracy-position order of the subproblem,
     canonical within each subproblem — independent of worker scheduling.
-    Parallel subproblems are X-set-aware by default; ``x_aware=False``
-    restores the enumerate-then-filter decomposition.
 
     ``trace=`` takes a :class:`repro.obs.Tracer`: the run contributes its
     spans (serial — one ``enumerate`` span; parallel — the full
@@ -249,17 +246,11 @@ def enumerate_to_sink(
     """
     _validate_trace(trace)
     if n_jobs is not None:
-        from repro.parallel import CallbackAggregator, run_parallel
+        from repro.parallel import CallbackAggregator
 
-        aggregator = CallbackAggregator(sink)
-        counters = run_parallel(
-            g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(x_aware), **options,
-        )
-        with maybe_span(trace, "merge", mode=aggregator.mode):
-            aggregator.finish()
+        counters, _ = _run_pool(g, CallbackAggregator(sink), algorithm,
+                                n_jobs, trace, options)
         return counters
-    _reject_serial_parallel_options(x_aware)
     spec = get_algorithm(algorithm)
     unknown = sorted(set(options) - spec.options)
     if unknown:
@@ -288,16 +279,18 @@ def _validate_trace(trace: Tracer | None) -> None:
         )
 
 
-def _parallel_kwargs(x_aware: bool | None) -> dict:
-    return {} if x_aware is None else {"x_aware": x_aware}
+def _run_pool(g: Graph, aggregator, algorithm: str, n_jobs: int,
+              trace: Tracer | None, options: dict) -> tuple[Counters, Any]:
+    """The ``n_jobs`` path: fan out over the pool, then merge.
 
+    Returns the folded counters and ``aggregator.finish()``.
+    """
+    from repro.parallel import run_parallel
 
-def _reject_serial_parallel_options(x_aware: bool | None) -> None:
-    """``x_aware`` without ``n_jobs`` is almost certainly a mistake."""
-    if x_aware is not None:
-        raise InvalidParameterError(
-            "x_aware requires n_jobs (the parallel path)"
-        )
+    counters = run_parallel(g, aggregator, algorithm=algorithm,
+                            n_jobs=n_jobs, trace=trace, **options)
+    with maybe_span(trace, "merge", mode=aggregator.mode):
+        return counters, aggregator.finish()
 
 
 def maximal_cliques(
@@ -306,7 +299,6 @@ def maximal_cliques(
     algorithm: str = DEFAULT_ALGORITHM,
     sort: bool = True,
     n_jobs: int | None = None,
-    x_aware: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> list[tuple[int, ...]]:
@@ -319,10 +311,8 @@ def maximal_cliques(
     deterministic (subproblems in degeneracy order).
     """
     collector = CliqueCollector()
-    enumerate_to_sink(
-        g, collector, algorithm=algorithm, n_jobs=n_jobs, x_aware=x_aware,
-        trace=trace, **options,
-    )
+    enumerate_to_sink(g, collector, algorithm=algorithm, n_jobs=n_jobs,
+                      trace=trace, **options)
     if sort:
         return collector.sorted_cliques()
     return collector.cliques
@@ -333,7 +323,6 @@ def count_maximal_cliques(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    x_aware: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> int:
@@ -342,20 +331,8 @@ def count_maximal_cliques(
     The parallel path (``n_jobs=N``) stays O(1) end to end: workers ship
     per-subproblem count summaries instead of the cliques themselves.
     """
-    if n_jobs is not None:
-        from repro.parallel import CountAggregator, run_parallel
-
-        aggregator = CountAggregator()
-        run_parallel(
-            g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(x_aware), **options,
-        )
-        with maybe_span(trace, "merge", mode=aggregator.mode):
-            return aggregator.finish()
-    _reject_serial_parallel_options(x_aware)
-    counter = CliqueCounter()
-    enumerate_to_sink(g, counter, algorithm=algorithm, trace=trace, **options)
-    return counter.count
+    return run_with_report(g, algorithm=algorithm, n_jobs=n_jobs,
+                           trace=trace, **options).clique_count
 
 
 def run_with_report(
@@ -363,7 +340,6 @@ def run_with_report(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    x_aware: bool | None = None,
     trace: Tracer | None = None,
     **options,
 ) -> RunReport:
@@ -375,17 +351,11 @@ def run_with_report(
     """
     start = time.perf_counter()
     if n_jobs is not None:
-        from repro.parallel import CountAggregator, run_parallel
+        from repro.parallel import CountAggregator
 
-        aggregator = CountAggregator()
-        counters = run_parallel(
-            g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(x_aware), **options,
-        )
-        with maybe_span(trace, "merge", mode=aggregator.mode):
-            count = aggregator.finish()
+        counters, count = _run_pool(g, CountAggregator(), algorithm, n_jobs,
+                                    trace, options)
     else:
-        _reject_serial_parallel_options(x_aware)
         counter = CliqueCounter()
         counters = enumerate_to_sink(g, counter, algorithm=algorithm,
                                      trace=trace, **options)

@@ -73,10 +73,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                              "parallel pool (positive integer; default: "
                              "classic single-process run; 1 = partitioned "
                              "pipeline without subprocesses)")
-    parser.add_argument("--no-x-aware", action="store_true",
-                        help="disable X-set-aware subproblems: enumerate "
-                             "each subproblem fully, then filter duplicated "
-                             "cliques (requires --jobs; default: X-aware)")
 
 
 def _backend_options(args: argparse.Namespace) -> dict:
@@ -104,21 +100,14 @@ def _backend_options(args: argparse.Namespace) -> dict:
 
 
 def _parallel_options(args: argparse.Namespace) -> dict:
-    """Translate --jobs/--no-x-aware into API keyword arguments.
+    """Translate --jobs into API keyword arguments.
 
     ``--jobs`` is validated here (not by argparse) so bad values follow the
     library's error convention: exit code 2 with a one-line message.
     """
     if args.jobs is None:
-        if args.no_x_aware:
-            raise InvalidParameterError(
-                "--no-x-aware requires --jobs (the parallel path)"
-            )
         return {}
-    options = {"n_jobs": parse_jobs(args.jobs)}
-    if args.no_x_aware:
-        options["x_aware"] = False
-    return options
+    return {"n_jobs": parse_jobs(args.jobs)}
 
 
 def _start_trace(args: argparse.Namespace, op: str) -> Tracer | None:

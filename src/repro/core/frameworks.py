@@ -42,18 +42,25 @@ def _counting(sink: CliqueSink, counters: Counters) -> CliqueSink:
     return wrapped
 
 
-def _validate_run_options(et_threshold: int, backend: str,
-                          bit_order=None) -> None:
+def _validate_run_options(et_threshold: int, graph_reduction: bool,
+                          backend: str, bit_order=None) -> None:
     """Reject bad options at the API boundary, before any work starts.
 
     ``EngineContext`` re-validates ``et_threshold`` when it is built, but
     that happens after graph reduction has already run (and never happens
     at all for the empty graph), so an invalid value could silently pass
-    or fail late with cliques already emitted.
+    or fail late with cliques already emitted.  Both flags must have their
+    exact type: ``True``/``2.0`` compare equal to thresholds and any
+    truthy string would switch reduction on.
     """
-    if et_threshold not in (0, 1, 2, 3):
+    if not isinstance(graph_reduction, bool):
         raise InvalidParameterError(
-            f"et_threshold must be 0 (off), 1, 2 or 3; got {et_threshold}"
+            f"graph_reduction must be a bool, got {graph_reduction!r}"
+        )
+    if isinstance(et_threshold, bool) or not isinstance(et_threshold, int) \
+            or et_threshold not in (0, 1, 2, 3):
+        raise InvalidParameterError(
+            f"et_threshold must be 0 (off), 1, 2 or 3; got {et_threshold!r}"
         )
     if backend not in BACKENDS:
         raise InvalidParameterError(
@@ -200,7 +207,7 @@ def run_hybrid(
     Returns:
         The run's :class:`Counters`.
     """
-    _validate_run_options(et_threshold, backend, bit_order)
+    _validate_run_options(et_threshold, graph_reduction, backend, bit_order)
     if edge_depth is not None and edge_depth < 1:
         raise InvalidParameterError(
             f"edge_depth must be >= 1 or None, got {edge_depth}"
@@ -290,7 +297,7 @@ def run_vertex(
     Returns:
         The run's :class:`Counters`.
     """
-    _validate_run_options(et_threshold, backend, bit_order)
+    _validate_run_options(et_threshold, graph_reduction, backend, bit_order)
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)

@@ -21,11 +21,12 @@ estimate* used by :mod:`repro.parallel.scheduler` to pack balanced chunks,
 and provides :func:`solve_subproblem`, the single code path both the
 in-process fallback and the worker processes execute.
 
-Subproblems are *X-set-aware* by default: the earlier neighbours of ``v``
-are seeded into the engine's exclusion set (``initial_x``), so branches
-owned by earlier subproblems die inside the recursion instead of being
-enumerated and filtered afterwards — the duplicated-branch work that made
-the naive decomposition's total CPU 1.5–3× the serial run.
+Subproblems are *X-set-aware*: the earlier neighbours of ``v`` are seeded
+into the engine's exclusion set (``initial_x``), so branches owned by
+earlier subproblems die inside the recursion instead of being enumerated
+and filtered afterwards — the duplicated-branch work that made the naive
+decomposition's total CPU 1.5–3× the serial run.  Enumerate-then-filter
+remains only for algorithms that cannot seed an exclusion set.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ _IN_PLACE_OPTIONS = frozenset(
 
 
 def uses_in_place_phase(algorithm: str, options: dict) -> bool:
-    """Whether X-aware solving will take the in-place vertex-phase tier.
+    """Whether solving will take the in-place vertex-phase tier.
 
     The pool checks this before materialising the whole-graph bitmask
     view — only the in-place tier consumes it.
@@ -239,15 +240,14 @@ def solve_subproblem(
     *,
     algorithm: str,
     options: dict,
-    x_aware: bool = True,
     bit_graph=None,
-) -> tuple[list[tuple[int, ...]], Counters, int]:
+) -> tuple[list[tuple[int, ...]], Counters]:
     """Enumerate the maximal cliques of ``G`` whose earliest member is ``v``.
 
-    With ``x_aware=True`` (the default) the subproblem's exclusion set is
-    seeded from ``earlier(v)``, so branches that an earlier subproblem
-    owns are pruned *inside* the recursion — no duplicated-branch work,
-    nothing to filter afterwards.  Two X-aware execution tiers exist:
+    The subproblem's exclusion set is seeded from ``earlier(v)``, so
+    branches that an earlier subproblem owns are pruned *inside* the
+    recursion — no duplicated-branch work, nothing to filter afterwards.
+    Two execution tiers exist:
 
     * algorithms declaring :attr:`AlgorithmSpec.subproblem_phase` (the
       whole hybrid/vertex family) run their vertex phase in place on the
@@ -259,47 +259,61 @@ def solve_subproblem(
       compact branch graph over ``N(v)`` with ``initial_x`` seeded.
 
     Algorithms that cannot seed an exclusion set (per
-    ``AlgorithmSpec.supports_initial_x``) fall back to the filtering path.
+    ``AlgorithmSpec.supports_initial_x``; today only ``reverse-search``)
+    take :func:`_filter_subproblem` instead.
 
-    With ``x_aware=False`` the algorithm enumerates all of ``G[later(v)]``
-    and every candidate extendable by an earlier neighbour of ``v`` is
-    dropped afterwards (those cliques belong to — and are found from — an
-    earlier subproblem).
-
-    Returns ``(cliques, counters, dropped)`` where ``cliques`` are emitted
-    canonically (each tuple ascending, list sorted) so the stream is
-    deterministic regardless of backend scan order, and ``dropped`` counts
-    the candidates rejected by the earlier-neighbour maximality filter
-    (always 0 on the X-aware paths).
+    Returns ``(cliques, counters)`` with ``cliques`` emitted canonically
+    (each tuple ascending, list sorted), so the stream is deterministic
+    regardless of backend scan order.
     """
     from repro.api import enumerate_to_sink, get_algorithm  # deferred: api imports us lazily
 
     later, earlier = subproblem_sets(g, position, v)
-    counters = Counters()
     if not later:
         # Lone root: {v} is maximal iff v has no neighbours at all.
+        counters = Counters()
         cliques = [(v,)] if not earlier else []
         counters.emitted = len(cliques)
-        return cliques, counters, 0
+        return cliques, counters
 
     spec = get_algorithm(algorithm)
-    if x_aware and uses_in_place_phase(algorithm, options):
-        cliques, counters = solve_branch(g, [v], later, earlier,
-                                         spec.subproblem_phase, options,
-                                         bit_graph)
-        return cliques, counters, 0
+    if not spec.supports_initial_x:
+        return _filter_subproblem(g, v, later, earlier,
+                                  algorithm=algorithm, options=options)
+    if uses_in_place_phase(algorithm, options):
+        return solve_branch(g, [v], later, earlier, spec.subproblem_phase,
+                            options, bit_graph)
 
-    if x_aware and spec.supports_initial_x:
-        sub, old_ids, x_local = _subproblem_graph(g, later, earlier)
-        collector = CliqueCollector()
-        counters = enumerate_to_sink(sub, collector, algorithm=algorithm,
-                                     initial_x=x_local, **options)
-        cliques = sorted(
-            tuple(sorted([v, *(old_ids[u] for u in local)]))
-            for local in collector.cliques
-        )
-        counters.emitted = len(cliques)
-        return cliques, counters, 0
+    sub, old_ids, x_local = _subproblem_graph(g, later, earlier)
+    collector = CliqueCollector()
+    counters = enumerate_to_sink(sub, collector, algorithm=algorithm,
+                                 initial_x=x_local, **options)
+    cliques = sorted(
+        tuple(sorted([v, *(old_ids[u] for u in local)]))
+        for local in collector.cliques
+    )
+    counters.emitted = len(cliques)
+    return cliques, counters
+
+
+def _filter_subproblem(
+    g: Graph,
+    v: int,
+    later: set[int],
+    earlier: set[int],
+    *,
+    algorithm: str,
+    options: dict,
+) -> tuple[list[tuple[int, ...]], Counters]:
+    """Enumerate-then-filter: the subproblem of ``v`` without a seeded X.
+
+    The algorithm enumerates all of ``G[later(v)]``; every candidate that
+    an earlier neighbour of ``v`` extends is dropped afterwards (that
+    clique belongs to — and is found from — an earlier subproblem).  The
+    only path for algorithms that cannot seed an exclusion set, and the
+    reference the X-aware tiers are tested against.
+    """
+    from repro.api import enumerate_to_sink  # deferred: api imports us lazily
 
     sub, old_ids = g.induced_subgraph(later)
     collector = CliqueCollector()
@@ -307,7 +321,6 @@ def solve_subproblem(
 
     adj = g.adj
     cliques: list[tuple[int, ...]] = []
-    dropped = 0
     for local in collector.cliques:
         members = [old_ids[u] for u in local]
         # {v} | members extends iff some earlier neighbour of v is adjacent
@@ -318,7 +331,7 @@ def solve_subproblem(
             if not witnesses:
                 break
         if witnesses:
-            dropped += 1
+            counters.suppressed_candidates += 1
             continue
         cliques.append(tuple(sorted([v, *members])))
     cliques.sort()
@@ -328,5 +341,4 @@ def solve_subproblem(
     # global answer; filtered candidates are accounted as suppressed, the
     # same bookkeeping graph reduction uses for its shadowed cliques.
     counters.emitted = len(cliques)
-    counters.suppressed_candidates += dropped
-    return cliques, counters, dropped
+    return cliques, counters

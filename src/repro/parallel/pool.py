@@ -8,7 +8,8 @@ Task encoding is deliberately pickling-lean and split by weight:
   the pool initializer under ``spawn``, or broadcast once to a live pool
   (:meth:`WorkerPool.submit` with a new key) and cached worker-side.
 * :class:`RequestConfig` — the light per-request knobs (algorithm name,
-  options, sink mode, X-awareness).  A few bytes, shipped with each task.
+  options, sink mode, trace position).  A few bytes, shipped with each
+  task.
 * a task is then just ``(graph key, config, Chunk)`` and a result is one
   :class:`ChunkResult`.
 
@@ -162,7 +163,6 @@ class RequestConfig:
     algorithm: str
     options: dict[str, OptionValue]
     mode: str  # "collect" or "count"
-    x_aware: bool = True
     trace: TraceContext | None = None
 
 
@@ -182,7 +182,6 @@ class ParallelStats:
     n_subproblems: int = 0
     n_chunks: int = 0
     start_method: str = ""
-    x_aware: bool = True
     decompose_seconds: float = 0.0
     balance_ratio: float = 1.0
     chunk_costs: list[float] = field(default_factory=list)
@@ -274,14 +273,13 @@ def _solve_chunk(
     g = graph_state.graph
     position, order = graph_state.position, graph_state.order
     bit_graph = graph_state.bit_graph(config.options) \
-        if config.x_aware \
-        and config.options.get("backend") == "bitset" \
+        if config.options.get("backend") == "bitset" \
         and uses_in_place_phase(config.algorithm, config.options) else None
     for p in chunk.positions:
-        cliques, sub_counters, _ = solve_subproblem(
+        cliques, sub_counters = solve_subproblem(
             g, position, order[p],
             algorithm=config.algorithm, options=config.options,
-            x_aware=config.x_aware, bit_graph=bit_graph,
+            bit_graph=bit_graph,
         )
         counters.merge(sub_counters)
         payload = count_payload(cliques) if config.mode == "count" else cliques
@@ -654,7 +652,6 @@ def run_parallel(
     *,
     algorithm: str,
     n_jobs: int,
-    x_aware: bool = True,
     stats: ParallelStats | None = None,
     trace: Tracer | None = None,
     **options: Any,
@@ -674,12 +671,9 @@ def run_parallel(
     :class:`repro.service.CliqueService`, which also caches the per-graph
     decomposition artifacts) instead of paying the spin-up every time.
 
-    ``x_aware=True`` (the default) seeds each subproblem's exclusion set
-    from the degeneracy order so duplicated branches are pruned inside the
-    engines; ``x_aware=False`` restores the enumerate-then-filter
-    decomposition (duplicates counted under ``suppressed_candidates``),
-    kept as an escape hatch and as the baseline the work-ratio regression
-    tests compare against.
+    Each subproblem's exclusion set is seeded from the degeneracy order,
+    so duplicated branches are pruned inside the engines (see
+    :func:`repro.parallel.decompose.solve_subproblem`).
 
     ``trace=`` takes an :class:`repro.obs.trace.Tracer`: the run
     contributes ``decompose``/``pack``/``ship``/``execute`` spans plus
@@ -690,10 +684,6 @@ def run_parallel(
     if trace is not None and not isinstance(trace, Tracer):
         raise InvalidParameterError(
             f"trace must be a repro.obs.Tracer or None, got {trace!r}"
-        )
-    if not isinstance(x_aware, bool):
-        raise InvalidParameterError(
-            f"x_aware must be a bool, got {x_aware!r}"
         )
     if "initial_x" in options:
         raise InvalidParameterError(
@@ -718,7 +708,6 @@ def run_parallel(
         algorithm=algorithm,
         options=options,
         mode=aggregator.mode,
-        x_aware=x_aware,
         trace=trace.current if trace is not None else None,
     )
 
@@ -740,7 +729,6 @@ def run_parallel(
         stats.n_jobs = n_jobs
         stats.n_subproblems = len(decomposition.subproblems)
         stats.n_chunks = len(chunks)
-        stats.x_aware = x_aware
         stats.start_method = pool.start_method
         stats.decompose_seconds = decomposition.seconds
         stats.balance_ratio = balance_ratio(chunks)

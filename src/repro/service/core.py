@@ -107,8 +107,7 @@ class CliqueService:
     # Requests
     # ------------------------------------------------------------------
     def count(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-              x_aware: bool = True, trace: bool = False,
-              **options) -> dict:
+              trace: bool = False, **options) -> dict:
         """Count the maximal cliques of a registered graph.
 
         ``trace=True`` adds a ``"trace"`` span tree (decompose → pack →
@@ -123,12 +122,12 @@ class CliqueService:
             result["max_clique_size"] = aggregator.max_size
 
         result, tracer = self._execute("count", graph, aggregator, algorithm,
-                                       x_aware, trace, options, finalize)
+                                       trace, options, finalize)
         return self._attach_trace(result, tracer)
 
     def enumerate(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-                  limit: int | None = None, x_aware: bool = True,
-                  trace: bool = False, **options) -> dict:
+                  limit: int | None = None, trace: bool = False,
+                  **options) -> dict:
         """Enumerate the maximal cliques of a registered graph.
 
         ``limit`` truncates the returned list (the enumeration itself is
@@ -152,13 +151,11 @@ class CliqueService:
             result["truncated"] = len(shown) < len(cliques)
 
         result, tracer = self._execute("enumerate", graph, aggregator,
-                                       algorithm, x_aware, trace,
-                                       options, finalize)
+                                       algorithm, trace, options, finalize)
         return self._attach_trace(result, tracer)
 
     def fingerprint(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-                    x_aware: bool = True, trace: bool = False,
-                    **options) -> dict:
+                    trace: bool = False, **options) -> dict:
         """SHA256 fingerprint of the canonical clique list.
 
         Byte-identical to ``clique_fingerprint(maximal_cliques(g, ...))``
@@ -174,8 +171,7 @@ class CliqueService:
             result["sha256"] = sha256
 
         result, tracer = self._execute("fingerprint", graph, aggregator,
-                                       algorithm, x_aware, trace,
-                                       options, finalize)
+                                       algorithm, trace, options, finalize)
         return self._attach_trace(result, tracer)
 
     @staticmethod
@@ -187,7 +183,7 @@ class CliqueService:
         return result
 
     def _execute(self, op: str, graph: str, aggregator, algorithm: str,
-                 x_aware, trace, options: dict,
+                 trace, options: dict,
                  finalize) -> tuple[dict, Tracer | None]:
         """Run one request end to end under the service lock.
 
@@ -201,10 +197,6 @@ class CliqueService:
         """
         with self._lock:
             self._check_open()
-            if not isinstance(x_aware, bool):
-                raise InvalidParameterError(
-                    f"x_aware must be a bool, got {x_aware!r}"
-                )
             if not isinstance(trace, bool):
                 raise InvalidParameterError(
                     f"trace must be a bool, got {trace!r}"
@@ -236,7 +228,7 @@ class CliqueService:
                     pack_span.attrs.update(chunk_summary(chunks))
             config = RequestConfig(
                 algorithm=algorithm, options=options,
-                mode=aggregator.mode, x_aware=x_aware,
+                mode=aggregator.mode,
                 trace=tracer.current if tracer is not None else None,
             )
             aggregator.start(len(decomposition.subproblems))
@@ -288,7 +280,6 @@ class CliqueService:
                     n_subproblems=len(decomposition.subproblems),
                     n_chunks=len(chunks),
                     start_method=self._pool.start_method,
-                    x_aware=x_aware,
                     decompose_seconds=decompose_seconds,
                     chunk_cpu_seconds=dict(aggregator.chunk_cpu_seconds),
                     timeline=list(aggregator.timeline),

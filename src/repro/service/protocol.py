@@ -19,8 +19,8 @@ in the response, for client-side correlation):
 * ``{"op": "graphs"}`` — list registered graphs.
 * ``{"op": "count", "graph": NAME_OR_FINGERPRINT, ...}`` — optional
   ``algorithm``, ``backend``, ``bit_order``, ``et_threshold``,
-  ``graph_reduction``, ``x_aware``, ``trace`` (``true`` adds the span
-  tree and per-chunk worker timeline to the response).
+  ``graph_reduction``, ``trace`` (``true`` adds the span tree and
+  per-chunk worker timeline to the response).
 * ``{"op": "enumerate", "graph": ..., "limit": N, ...}`` — same knobs.
 * ``{"op": "fingerprint", "graph": ..., ...}`` — SHA256 of the canonical
   clique list (matches :func:`repro.verify.clique_fingerprint` on the
@@ -67,7 +67,7 @@ def _exact_int(value: object, what: str) -> int:
 
 def _request_options(request: dict[str, Any], *extra: str) -> dict[str, Any]:
     """Split a request into algorithm options, rejecting unknown fields."""
-    allowed = _COMMON_FIELDS | {"graph", "algorithm", "x_aware", "trace"} \
+    allowed = _COMMON_FIELDS | {"graph", "algorithm", "trace"} \
         | set(OPTION_FIELDS) | set(extra)
     unknown = sorted(set(request) - allowed)
     if unknown:
@@ -97,11 +97,6 @@ def _kwargs(request: dict[str, Any]) -> dict[str, Any]:
     kwargs: dict[str, Any] = {}
     if "algorithm" in request:
         kwargs["algorithm"] = request["algorithm"]
-    if "x_aware" in request:
-        x_aware = request["x_aware"]
-        if not isinstance(x_aware, bool):
-            raise ReproError(f"x_aware must be a bool, got {x_aware!r}")
-        kwargs["x_aware"] = x_aware
     if "trace" in request:
         trace = request["trace"]
         if not isinstance(trace, bool):

@@ -67,10 +67,10 @@ class TestSolveSubproblem:
         reference = maximal_cliques(g)
         found = []
         for v in d.order:
-            cliques, counters, dropped = solve_subproblem(
+            cliques, counters = solve_subproblem(
                 g, d.position, v, algorithm="hbbmc++", options={})
             assert counters.emitted == len(cliques)
-            assert counters.suppressed_candidates >= dropped
+            assert counters.suppressed_candidates == 0
             found.extend(cliques)
         # Each maximal clique appears exactly once, from its earliest root.
         assert sorted(found) == reference
@@ -80,7 +80,7 @@ class TestSolveSubproblem:
         g = ring_of_cliques(5, 4)
         d = decompose(g)
         for v in d.order:
-            cliques, _, _ = solve_subproblem(
+            cliques, _ = solve_subproblem(
                 g, d.position, v, algorithm="bk-pivot", options={})
             for clique in cliques:
                 assert v in clique
@@ -92,7 +92,7 @@ class TestSolveSubproblem:
         d = decompose(g)
         singletons = []
         for v in d.order:
-            cliques, _, _ = solve_subproblem(
+            cliques, _ = solve_subproblem(
                 g, d.position, v, algorithm="hbbmc++", options={})
             singletons.extend(c for c in cliques if len(c) == 1)
         assert singletons == [(2,)]
@@ -101,8 +101,8 @@ class TestSolveSubproblem:
         g = erdos_renyi_gnm(25, 120, seed=2)
         d = decompose(g)
         v = d.order[0]
-        a, _, _ = solve_subproblem(g, d.position, v,
-                                   algorithm="hbbmc++", options={})
-        b, _, _ = solve_subproblem(g, d.position, v, algorithm="hbbmc++",
-                                   options={"backend": "bitset"})
+        a, _ = solve_subproblem(g, d.position, v,
+                                algorithm="hbbmc++", options={})
+        b, _ = solve_subproblem(g, d.position, v, algorithm="hbbmc++",
+                                options={"backend": "bitset"})
         assert a == b

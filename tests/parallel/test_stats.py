@@ -5,13 +5,15 @@
 from cell dicts) — these tests pin its arithmetic, the per-chunk CPU
 bookkeeping it is derived from, and the structural regression the X-aware
 decomposition exists for: on the dense fixed-seed workload it must not
-expand more branches than the enumerate-then-filter decomposition.
+expand more branches than the enumerate-then-filter tier
+(``_filter_subproblem``) run over the same subproblems.
 """
 
 import math
 
 import pytest
 
+from repro.core.counters import Counters
 from repro.graph.generators import erdos_renyi_gnm
 from repro.parallel import (
     CountAggregator,
@@ -19,40 +21,55 @@ from repro.parallel import (
     makespan,
     run_parallel,
 )
+from repro.parallel.decompose import (
+    _filter_subproblem,
+    decompose,
+    subproblem_sets,
+)
 
 
-def _run(g, *, x_aware, n_jobs=1, algorithm="hbbmc++", **options):
+def _run(g, *, n_jobs=1, algorithm="hbbmc++", **options):
     aggregator = CountAggregator()
     stats = ParallelStats()
     counters = run_parallel(g, aggregator, algorithm=algorithm,
-                            n_jobs=n_jobs, x_aware=x_aware, stats=stats,
-                            **options)
+                            n_jobs=n_jobs, stats=stats, **options)
     return aggregator.finish(), counters, stats
+
+
+def _run_filtering(g, *, algorithm="hbbmc++", **options):
+    """Every subproblem through the enumerate-then-filter tier."""
+    decomposition = decompose(g)
+    count, counters = 0, Counters()
+    for v in decomposition.order:
+        later, earlier = subproblem_sets(g, decomposition.position, v)
+        if not later:
+            # Lone root: no enumeration; {v} counts iff v is isolated.
+            count += 0 if earlier else 1
+            continue
+        cliques, sub_counters = _filter_subproblem(
+            g, v, later, earlier, algorithm=algorithm, options=options)
+        count += len(cliques)
+        counters.merge(sub_counters)
+    return count, counters
 
 
 class TestPerChunkCpuAccounting:
     def test_every_chunk_records_cpu(self):
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=4)
+        _count, _counters, stats = _run(g, n_jobs=4)
         assert stats.n_chunks == 4
         assert sorted(stats.chunk_cpu_seconds) == list(range(stats.n_chunks))
         assert all(cpu >= 0.0 for cpu in stats.chunk_cpu_seconds.values())
 
     def test_totals_derive_from_chunks(self):
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=1)
+        _count, _counters, stats = _run(g, n_jobs=1)
         chunk_cpu = stats.chunk_cpu_seconds.values()
         assert stats.total_cpu_seconds == pytest.approx(
             stats.decompose_seconds + sum(chunk_cpu))
         # One worker runs every task back to back: the makespan is the sum.
         assert stats.critical_path_seconds == pytest.approx(
             stats.total_cpu_seconds)
-
-    def test_x_aware_flag_recorded(self):
-        g = erdos_renyi_gnm(20, 60, seed=1)
-        for flag in (True, False):
-            _count, _counters, stats = _run(g, x_aware=flag)
-            assert stats.x_aware is flag
 
 
 class TestCriticalPath:
@@ -71,7 +88,7 @@ class TestCriticalPath:
     def test_pool_run_records_every_task(self):
         # One chunk per worker: the makespan is the slowest chunk.
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=2)
+        _count, _counters, stats = _run(g, n_jobs=2)
         assert sorted(stats.chunk_cpu_seconds) == [0, 1]
         assert stats.critical_path_seconds == pytest.approx(
             stats.decompose_seconds + max(stats.chunk_cpu_seconds.values()))
@@ -104,7 +121,7 @@ class TestWorkRatio:
 class TestTimeline:
     def test_run_records_one_event_per_chunk(self):
         g = erdos_renyi_gnm(30, 200, seed=5)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=2)
+        _count, _counters, stats = _run(g, n_jobs=2)
         assert len(stats.timeline) == stats.n_chunks
         assert {e.chunk_id for e in stats.timeline} == \
             set(range(stats.n_chunks))
@@ -133,16 +150,16 @@ class TestXAwareBranchRegression:
     @pytest.mark.parametrize("algorithm", ["hbbmc++", "bk-pivot"])
     def test_x_aware_expands_no_more_branches(self, algorithm, backend):
         count_x, counters_x, _ = _run(
-            self.GRAPH, x_aware=True, algorithm=algorithm, backend=backend)
-        count_f, counters_f, _ = _run(
-            self.GRAPH, x_aware=False, algorithm=algorithm, backend=backend)
+            self.GRAPH, algorithm=algorithm, backend=backend)
+        count_f, counters_f = _run_filtering(
+            self.GRAPH, algorithm=algorithm, backend=backend)
         assert count_x == count_f
         assert counters_x.total_calls <= counters_f.total_calls
 
     def test_x_aware_never_suppresses_candidates(self):
-        _count, counters, _ = _run(self.GRAPH, x_aware=True)
+        _count, counters, _ = _run(self.GRAPH)
         assert counters.suppressed_candidates == 0
 
     def test_filtering_path_suppresses_duplicates(self):
-        _count, counters, _ = _run(self.GRAPH, x_aware=False)
+        _count, counters = _run_filtering(self.GRAPH)
         assert counters.suppressed_candidates > 0

@@ -9,7 +9,9 @@ eliminates the duplicated-branch work; the tests here pin it directly at
 the :func:`solve_subproblem` level and end to end through the pool, for
 both execution tiers (in-place vertex phase for hbbmc++/bk-pivot, seeded
 ``initial_x`` framework run for ebbmc++), and for the bitset backend under
-both its default degeneracy packing and the identity packing.
+both its default degeneracy packing and the identity packing.  The
+enumerate-then-filter fallback (``reverse-search``, which cannot seed an
+exclusion set) must partition the same way.
 
 All graphs come from seeded generators — no randomness at test time.
 """
@@ -51,14 +53,13 @@ def _reference(name, graph):
 
 
 def _streams(graph, algorithm, backend):
-    """One canonical clique stream per subproblem, X-aware."""
+    """One canonical clique stream per subproblem."""
     dec = decompose(graph)
     streams = []
     for sp in dec.subproblems:
-        cliques, _counters, dropped = solve_subproblem(
+        cliques, _counters = solve_subproblem(
             graph, dec.position, sp.vertex,
             algorithm=algorithm, options=BACKEND_OPTIONS[backend])
-        assert dropped == 0, "X-aware subproblems never post-filter"
         streams.append(cliques)
     return streams
 
@@ -103,11 +104,11 @@ def test_x_aware_pipeline_equals_serial(name, graph, algorithm, backend, n_jobs)
                            **options) == serial
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS_UNDER_TEST)
 @pytest.mark.parametrize(
     "name,graph", GENERATOR_CASES, ids=[n for n, _ in GENERATOR_CASES])
-def test_escape_hatch_matches_x_aware(name, graph, algorithm):
-    """``x_aware=False`` (the filtering decomposition) stays equivalent."""
-    assert maximal_cliques(graph, algorithm=algorithm, n_jobs=2,
-                           x_aware=False) == \
-        maximal_cliques(graph, algorithm=algorithm, n_jobs=2, x_aware=True)
+def test_filter_fallback_streams_disjoint_and_complete(name, graph):
+    """reverse-search cannot seed X: its subproblems filter instead."""
+    streams = _streams(graph, "reverse-search", "set")
+    combined = [clique for stream in streams for clique in stream]
+    assert len(combined) == len(set(combined))
+    assert sorted(combined) == _reference(name, graph)

@@ -63,7 +63,7 @@ class TestHandleRequest:
         # The deleted scheduling knobs are unknown fields like any other.
         for field, value in (("steal", True), ("chunk_strategy", "greedy"),
                              ("cost_model", "edges"),
-                             ("chunks_per_worker", 2)):
+                             ("chunks_per_worker", 2), ("x_aware", False)):
             response, _ = handle_request(
                 service, {"op": "count", "graph": "k4", field: value})
             assert not response["ok"] and field in response["error"]
@@ -119,6 +119,20 @@ class TestHandleRequest:
         response, _ = handle_request(
             service, {"op": "register", "path": "/no/such/file.txt"})
         assert not response["ok"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("algorithm", 5), ("algorithm", None), ("graph_reduction", "no"),
+        ("et_threshold", True), ("et_threshold", 2.0),
+    ])
+    def test_bad_knob_value_is_an_error_response(self, service, field,
+                                                 value):
+        handle_request(service, {"op": "register", "n": 4,
+                                 "edges": K4_EDGES, "name": "k4"})
+        response, shutdown = handle_request(
+            service, {"op": "count", "graph": "k4", field: value})
+        assert not response["ok"] and not shutdown
+        response, _ = handle_request(service, {"op": "count", "graph": "k4"})
+        assert response["ok"] and response["count"] == 1
 
     def test_non_object_request_is_an_error_response(self, service):
         response, _ = handle_request(service, [1, 2, 3])
@@ -203,6 +217,19 @@ class TestStdioTransport:
         assert len(responses) == 2
         assert not responses[0]["ok"] and "bad JSON" in responses[0]["error"]
         assert responses[1]["pong"]
+
+    def test_non_string_algorithm_keeps_serving(self, service):
+        # Regression: AttributeError from name.lower() ended the loop.
+        responses = self._drive(service, [
+            json.dumps({"op": "register", "n": 4, "edges": K4_EDGES,
+                        "name": "k4"}),
+            json.dumps({"op": "count", "graph": "k4", "algorithm": 5}),
+            json.dumps({"op": "count", "graph": "k4", "algorithm": None}),
+            json.dumps({"op": "ping"}),
+        ])
+        assert len(responses) == 4
+        assert not responses[1]["ok"] and not responses[2]["ok"]
+        assert responses[3]["pong"]
 
     def test_eof_without_shutdown_returns_cleanly(self, service):
         assert self._drive(service, [json.dumps({"op": "ping"})])[0]["ok"]

@@ -240,7 +240,7 @@ class TestRequestSurface:
 
     @pytest.mark.parametrize("knob,value", [
         ("steal", True), ("chunk_strategy", "greedy"),
-        ("cost_model", "edges"), ("chunks_per_worker", 2),
+        ("cost_model", "edges"), ("chunks_per_worker", 2), ("x_aware", False),
     ])
     def test_deleted_scheduler_knobs_rejected(self, graph, knob, value):
         with CliqueService() as service:

@@ -36,6 +36,14 @@ class TestRegistry:
         with pytest.raises(UnknownAlgorithmError):
             get_algorithm("nope")
 
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_non_string_name_raises_unknown_algorithm(self, bad, n_jobs):
+        # Regression: name.lower() raised AttributeError, which escaped the
+        # service's error envelope.
+        with pytest.raises(UnknownAlgorithmError):
+            maximal_cliques(complete_graph(3), algorithm=bad, n_jobs=n_jobs)
+
     def test_specs_have_descriptions(self):
         for spec in ALGORITHMS.values():
             assert spec.description
@@ -71,11 +79,19 @@ class TestMaximalCliques:
 class TestOptionValidation:
     """Bad options are rejected at the API boundary, before any work."""
 
-    @pytest.mark.parametrize("bad", [5, -1, 4, 100])
+    @pytest.mark.parametrize("bad", [5, -1, 4, 100, True, 2.0, "2"])
     def test_invalid_et_threshold_rejected(self, bad):
         g = erdos_renyi_gnm(10, 20, seed=1)
         with pytest.raises(InvalidParameterError):
             enumerate_to_sink(g, CliqueCollector(), et_threshold=bad)
+
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    @pytest.mark.parametrize("bad", ["no", "", 1, None])
+    def test_invalid_graph_reduction_rejected(self, bad, n_jobs):
+        # Regression: any truthy value (even "no") switched reduction on.
+        with pytest.raises(InvalidParameterError, match="graph_reduction"):
+            maximal_cliques(complete_graph(3), n_jobs=n_jobs,
+                            graph_reduction=bad)
 
     @pytest.mark.parametrize("algorithm", ["hbbmc++", "ebbmc++", "vbbmc-dgn",
                                            "bk-pivot", "rcd++"])
@@ -104,6 +120,7 @@ class TestOptionValidation:
     @pytest.mark.parametrize("n_jobs", [None, 2])
     @pytest.mark.parametrize("name", [
         "foo", "steal", "chunk_strategy", "cost_model", "chunks_per_worker",
+        "x_aware",
     ])
     def test_unknown_option_rejected(self, name, n_jobs):
         # The deleted scheduling knobs are unknown options like any other:

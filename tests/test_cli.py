@@ -154,19 +154,11 @@ class TestJobsFlag:
         assert "--jobs" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_no_x_aware_without_jobs_exits_2(self, graph_file, capsys):
-        assert main(["enumerate", graph_file, "--no-x-aware"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "--jobs" in err
-        assert len(err.strip().splitlines()) == 1
-
     def test_jobs_documented_in_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["enumerate", "--help"])
         out = capsys.readouterr().out
         assert "--jobs" in out
-        assert "--no-x-aware" in out
 
 
 class TestErrorExits:
@@ -192,6 +184,8 @@ class TestErrorExits:
             ["count", graph_file, "--jobs", "2", "--chunk-strategy", "greedy"],
             ["enumerate", graph_file, "--jobs", "2", "--cost-model", "edges"],
             ["serve", "--jobs", "2", "--chunks-per-worker", "2"],
+            # so is the deleted X-awareness switch.
+            ["enumerate", graph_file, "--jobs", "2", "--no-x-aware"],
         ):
             assert main(argv) == 2
             err = capsys.readouterr().err
